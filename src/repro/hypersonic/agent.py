@@ -44,12 +44,26 @@ requires.  (The paper routes loop-backs through the agent's own match
 stream; inline growth performs the identical comparisons but avoids the
 unbounded event-time lag a loop-back accumulates behind queue backlogs,
 which no window-based purge bound could tolerate.)
+
+Time-indexed buffers
+--------------------
+Scans visit only the buffer entries that can still match, using the
+timestamp order the buffers already have: each EB fragment has one
+writer, its unit, which stores events in ES pop order, and the ES is FIFO
+in stream order; the guard list is appended in guard-queue order and only
+ever loses a prefix.  MB fragments are ordered by partial-match timestamp
+unless a store broke the order, which the fragment's *unordered* mark
+records.  Virtual charges do not depend on what a scan skips: fragments
+are charged by size and guard scans by list position.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Callable
+from itertools import islice
+from operator import attrgetter
+from typing import Callable, Iterator
 
 from repro.core.events import Event
 from repro.core.matches import PartialMatch
@@ -58,6 +72,9 @@ from repro.hypersonic.buffers import AgentGlobalBuffer, BufferSnapshot, Fragment
 from repro.hypersonic.items import ItemKind, Receipt, WorkItem, WorkQueue
 
 __all__ = ["AgentCore", "QuarantineEntry"]
+
+_timestamp = attrgetter("timestamp")
+_earliest = attrgetter("earliest")
 
 
 @dataclass
@@ -140,6 +157,10 @@ class AgentCore:
         # min over fragments bounds the oldest buffered match (the guard
         # buffer may only purge events no alive match could still need).
         self._mb_frag_min: dict[int, float] = {}
+        # MB fragments whose partial matches are not in timestamp order
+        # (a downstream agent's inputs, or Kleene growth); those keep the
+        # full scan until a purge finds them ordered again.
+        self._mb_unordered: set[int] = set()
 
         self.latest_event_ts = float("-inf")
         self.latest_match_ts = float("-inf")
@@ -284,7 +305,14 @@ class AgentCore:
                 self._purge_match_fragment(owner, horizon)
             resident = self.match_buffer._fragments.get(owner, ())
             receipt.note_fragment(len(resident))
-            for partial in resident:
+            candidates = resident
+            if owner not in self._mb_unordered:
+                # SEQ order rejects every partial that starts after the
+                # event, so an ordered fragment stops before them.
+                candidates = islice(resident, bisect_right(
+                    resident, event.timestamp, key=_earliest
+                ))
+            for partial in candidates:
                 if not partial.fits_with(event, window):
                     continue
                 bound = partial.binding.get(position)
@@ -392,18 +420,15 @@ class AgentCore:
         receipt = Receipt()
         if partial.timestamp > self.latest_match_ts:
             self.latest_match_ts = partial.timestamp
-        window = self.window
         stage = self.stage
-        stages = self.stages
-        kleene = stage.is_kleene
         position = stage.item.name
-        looping = kleene and position in partial.binding
+        looping = stage.is_kleene and position in partial.binding
         # A buffered event may only expire relative to the oldest partial
         # match that can still reach it: the slowest match waiting in the
         # MS queue (emitted matches land in the queue instantly, so the
         # queue minimum is a sound bound on arrival skew — including Kleene
         # loop-backs, which re-enter this same queue).
-        horizon = self.latest_match_ts - window - self.event_purge_slack
+        horizon = self.latest_match_ts - self.window - self.event_purge_slack
         ms_min = self.ms.min_event_time()
         if ms_min is not None and ms_min < horizon:
             horizon = ms_min
@@ -412,6 +437,12 @@ class AgentCore:
         # earliest onward.
         if partial.timestamp < horizon:
             horizon = partial.timestamp
+        # The event a new binding must follow in SEQ order: the tuple's
+        # last element on a Kleene loop, else the previous stage's event.
+        if looping:
+            last = partial.binding[position][-1]
+        else:
+            last = last_bound_event(partial, self.stages, self.stage_index)
 
         for owner, fragment in self.event_buffer.fragments():
             if horizon > float("-inf"):
@@ -421,27 +452,13 @@ class AgentCore:
             if self.vector_mode and not looping and resident:
                 self._scan_events_vector(partial, resident, owner, receipt)
                 continue
-            for event in resident:
-                if not partial.fits_with(event, window):
-                    continue
-                if looping:
-                    bound = partial.binding[position]
-                    last = bound[-1]
-                    if (last.timestamp, last.event_id) >= (
-                        event.timestamp,
-                        event.event_id,
-                    ):
-                        continue
-                    receipt.comparisons += 1
-                    if not stage.accepts(partial, event):
-                        continue
-                    grown = partial.extended_kleene(position, event)
-                    self._accept(grown, receipt)
-                    continue
-                if not seq_order_allows(partial, stages, self.stage_index, event):
-                    continue
+            for event in self._joinable_events(partial, last, resident):
                 receipt.comparisons += 1
                 if not stage.accepts(partial, event):
+                    continue
+                if looping:
+                    grown = partial.extended_kleene(position, event)
+                    self._accept(grown, receipt)
                     continue
                 extended = self._bind(partial, event)
                 self._route_new_candidate(extended, event.timestamp, receipt)
@@ -466,6 +483,33 @@ class AgentCore:
                 return receipt
         self._store_match(partial, unit_id)
         return receipt
+
+    def _joinable_events(
+        self, partial: PartialMatch, last: Event, resident: list[Event]
+    ) -> Iterator[Event]:
+        """The events of one EB fragment that *partial* can bind after
+        *last*: later in SEQ order and within the window.
+
+        The fragment is in timestamp order, so the scan starts at *last*'s
+        timestamp (ties are settled by event id) and stops at the first
+        event past ``partial.latest`` that fails ``fits_with``: from there
+        on ``fits_with`` computes ``ts - earliest``, which only grows with
+        ``ts``.  Comparing ``ts`` with ``earliest + window`` instead can
+        disagree with ``fits_with`` in either direction, by rounding.
+        """
+        window = self.window
+        latest = partial.latest
+        last_ts = last.timestamp
+        last_id = last.event_id
+        start = bisect_left(resident, last_ts, key=_timestamp)
+        for event in islice(resident, start, None):
+            if not partial.fits_with(event, window):
+                if event.timestamp > latest:
+                    return
+                continue
+            if event.timestamp == last_ts and event.event_id <= last_id:
+                continue
+            yield event
 
     def _scan_events_vector(
         self, partial: PartialMatch, resident: list[Event], owner: int,
@@ -521,8 +565,8 @@ class AgentCore:
         if floor < horizon:
             horizon = floor
         if horizon > float("-inf") and self._guard_events:
-            self._guard_events = [
-                e for e in self._guard_events if e.timestamp >= horizon
+            del self._guard_events[
+                :bisect_left(self._guard_events, horizon, key=_timestamp)
             ]
         return receipt
 
@@ -548,19 +592,10 @@ class AgentCore:
         """Send a freshly extended match through guard checks, quarantine,
         or straight out."""
         if self.internal_guards:
-            for guard_event in self._guard_events:
-                receipt.comparisons += 1
-                if any(
-                    guard.item.event_type.name == guard_event.type.name
-                    and guard.violates(
-                        extended.binding,
-                        guard_event,
-                        self.window,
-                        extended.earliest,
-                    )
-                    for guard in self.internal_guards
-                ):
-                    return
+            if self._struck_by_guard_events(
+                extended, self.internal_guards, receipt
+            ):
+                return
             if not self._internal_clear(bind_ts):
                 self._quarantine.append(
                     QuarantineEntry(
@@ -579,22 +614,9 @@ class AgentCore:
         """Internal guards cleared; apply trailing quarantine if needed."""
         if self.trailing_guards:
             release_ts = extended.earliest + self.window
-            struck = False
-            for guard_event in self._guard_events:
-                receipt.comparisons += 1
-                if any(
-                    guard.item.event_type.name == guard_event.type.name
-                    and guard.violates(
-                        extended.binding,
-                        guard_event,
-                        self.window,
-                        extended.earliest,
-                    )
-                    for guard in self.trailing_guards
-                ):
-                    struck = True
-                    break
-            if struck:
+            if self._struck_by_guard_events(
+                extended, self.trailing_guards, receipt
+            ):
                 return
             if not from_flush and not self._clear_at(release_ts):
                 self._quarantine.append(
@@ -607,6 +629,34 @@ class AgentCore:
                 )
                 return
         self._accept(extended, receipt)
+
+    def _struck_by_guard_events(
+        self, extended: PartialMatch, guards: tuple[NegationGuard, ...],
+        receipt: Receipt,
+    ) -> bool:
+        """Does a buffered guard event strike the candidate *extended*?
+
+        Charged as a scan of the whole guard list up to the striking
+        event.  The scan itself starts at the candidate's ``earliest``:
+        a guard event must come after the guard's ``after`` event, which
+        is bound no earlier than that.  ``bisect_left``, because an event
+        tied with ``after`` but with a larger id can still strike.
+        """
+        guard_events = self._guard_events
+        start = bisect_left(guard_events, extended.earliest, key=_timestamp)
+        receipt.comparisons += start
+        binding = extended.binding
+        window = self.window
+        earliest = extended.earliest
+        for guard_event in islice(guard_events, start, None):
+            receipt.comparisons += 1
+            if any(
+                guard.item.event_type.name == guard_event.type.name
+                and guard.violates(binding, guard_event, window, earliest)
+                for guard in guards
+            ):
+                return True
+        return False
 
     def _accept(self, partial: PartialMatch, receipt: Receipt) -> None:
         """A guard-clean result: emit downstream and, at a Kleene stage,
@@ -630,20 +680,13 @@ class AgentCore:
             return
         stage = self.stage
         position = stage.item.name
-        window = self.window
         while self._pending_loop:
             current = self._pending_loop.pop()
-            bound = current.binding[position]
-            last = bound[-1]
-            last_key = (last.timestamp, last.event_id)
+            last = current.binding[position][-1]
             for owner, _fragment in self.event_buffer.fragments():
                 resident = self.event_buffer._fragments.get(owner, ())
                 receipt.note_fragment(len(resident))
-                for event in resident:
-                    if (event.timestamp, event.event_id) <= last_key:
-                        continue
-                    if not current.fits_with(event, window):
-                        continue
+                for event in self._joinable_events(current, last, resident):
                     receipt.comparisons += 1
                     if not stage.accepts(current, event):
                         continue
@@ -697,6 +740,9 @@ class AgentCore:
         self.agb.retain_event(event)
 
     def _store_match(self, partial: PartialMatch, unit_id: int) -> None:
+        fragment = self.match_buffer._fragments.get(unit_id)
+        if fragment and partial.earliest < fragment[-1].earliest:
+            self._mb_unordered.add(unit_id)
         self.match_buffer.store(unit_id, partial)
         self.agb.retain_match(partial)
         current = self._mb_frag_min.get(unit_id)
@@ -707,18 +753,28 @@ class AgentCore:
         fragment = self.match_buffer._fragments.get(owner)
         if not fragment:
             self._mb_frag_min.pop(owner, None)
+            self._mb_unordered.discard(owner)
             return
-        kept = []
-        kept_min = None
-        for partial in fragment:
-            if partial.timestamp >= horizon:
-                kept.append(partial)
-                if kept_min is None or partial.timestamp < kept_min:
-                    kept_min = partial.timestamp
-            else:
+        if self._mb_frag_min[owner] >= horizon:
+            return
+        if owner in self._mb_unordered:
+            kept = []
+            for partial in fragment:
+                if partial.earliest >= horizon:
+                    kept.append(partial)
+                else:
+                    self.agb.release_match(partial)
+            stamps = [partial.earliest for partial in kept]
+            if stamps == sorted(stamps):
+                self._mb_unordered.discard(owner)
+            kept_min = min(stamps, default=None)
+        else:
+            cut = bisect_left(fragment, horizon, key=_earliest)
+            for partial in islice(fragment, cut):
                 self.agb.release_match(partial)
-        if len(kept) != len(fragment):
-            self.match_buffer.replace_fragment(owner, kept)
+            kept = fragment[cut:]
+            kept_min = kept[0].earliest if kept else None
+        self.match_buffer.replace_fragment(owner, kept)
         if kept_min is None:
             self._mb_frag_min.pop(owner, None)
         else:
@@ -726,16 +782,12 @@ class AgentCore:
 
     def _purge_event_fragment(self, owner: int, horizon: float) -> None:
         fragment = self.event_buffer._fragments.get(owner)
-        if not fragment:
+        if not fragment or fragment[0].timestamp >= horizon:
             return
-        kept = []
-        for event in fragment:
-            if event.timestamp >= horizon:
-                kept.append(event)
-            else:
-                self.agb.release_event(event)
-        if len(kept) != len(fragment):
-            self.event_buffer.replace_fragment(owner, kept)
+        cut = bisect_left(fragment, horizon, key=_timestamp)
+        for event in islice(fragment, cut):
+            self.agb.release_event(event)
+        self.event_buffer.replace_fragment(owner, fragment[cut:])
 
     # ------------------------------------------------------------------ #
     # Introspection                                                      #

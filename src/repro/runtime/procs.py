@@ -44,7 +44,10 @@ worker (any exit path, including ``os._exit``) surfaces as a clean
 :class:`~repro.core.errors.EngineError` naming the worker and exit code —
 never a hang.  Workers ignore ``SIGINT``; on ``KeyboardInterrupt`` the
 parent terminates and joins all children before re-raising.  Workers are
-daemonic as a backstop: no child outlives the parent.
+daemonic as a backstop: no child outlives the parent.  A parent killed
+outright (SIGKILL) runs no clean-up at all, so each worker also watches
+its parent process and exits when it is gone: on every empty inbox poll,
+and while blocked forwarding to a downstream worker that stopped reading.
 """
 
 from __future__ import annotations
@@ -89,6 +92,13 @@ _SPAN_MERGE_GAP = 5e-4
 #: queue feeder after the process exits.
 _RESULT_GRACE = 3.0
 
+#: How long a worker waits on a full downstream inbox before checking that
+#: its parent is still alive.
+_FORWARD_POLL = 0.5
+
+#: Exit status of a worker that found its parent gone.
+_ORPHANED_EXIT = 75
+
 
 def agent_slices(num_agents: int, procs: int) -> list[tuple[int, int]]:
     """Cut ``num_agents`` chain agents into ``procs`` contiguous slices.
@@ -130,6 +140,10 @@ class _WorkerSpec:
     trace: bool
     epoch: float
     crash_after: int | None = None
+    #: The process whose exit orphans the worker; ``None`` watches the
+    #: parent the worker started under (the fork server's child is not
+    #: the engine's).
+    parent_pid: int | None = None
 
 
 @dataclass
@@ -221,6 +235,23 @@ def _worker_main(spec: _WorkerSpec, inbox, downstream, results) -> None:
 
 
 def _run_worker(spec: _WorkerSpec, inbox, downstream, results) -> None:
+    parent_pid = spec.parent_pid if spec.parent_pid is not None \
+        else os.getppid()
+
+    def exit_if_orphaned() -> None:
+        # Nobody is left to read the results; skip the queue feeders'
+        # flush at exit, which would block on pipes no one drains.
+        if os.getppid() != parent_pid:
+            os._exit(_ORPHANED_EXIT)
+
+    def forward(message) -> None:
+        while True:
+            try:
+                downstream.put(message, timeout=_FORWARD_POLL)
+                return
+            except queue_mod.Full:
+                exit_if_orphaned()
+
     nfa = compile_pattern(spec.pattern)
     watermark = [float("-inf")]
     agents = [
@@ -265,7 +296,7 @@ def _run_worker(spec: _WorkerSpec, inbox, downstream, results) -> None:
                     stats.match_ptrs_out.get(global_index, 0)
                     + partial_size(partial)
                 )
-                downstream.put((_FWD, partial))
+                forward((_FWD, partial))
 
     def transfer(local: int, kind: ItemKind, payload) -> None:
         agent = agents[local]
@@ -362,7 +393,7 @@ def _run_worker(spec: _WorkerSpec, inbox, downstream, results) -> None:
         try:
             message = inbox.get(timeout=0.02)
         except queue_mod.Empty:
-            pass
+            exit_if_orphaned()
         if message is not None:
             handle(message)
         # Transfer the whole pending inbox BEFORE any watermark-dependent
@@ -401,7 +432,7 @@ def _run_worker(spec: _WorkerSpec, inbox, downstream, results) -> None:
         dispatch(local, receipt)
         drain_agent(local)
     if downstream is not None:
-        downstream.put((_STOP,))
+        forward((_STOP,))
     spans.close()
     results.put((
         "done", spec.worker_index, matches if hosts_last else None,
@@ -523,6 +554,7 @@ class ProcsPipelineEngine:
                 trace=self.tracer.enabled,
                 epoch=epoch,
                 crash_after=crash_after,
+                parent_pid=None if method == "forkserver" else os.getpid(),
             )
             downstream = inboxes[index + 1] if index + 1 < num_procs else None
             workers.append(context.Process(

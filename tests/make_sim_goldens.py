@@ -6,6 +6,7 @@ before committing:
 
     PYTHONPATH=src:. python tests/make_sim_goldens.py               # all
     PYTHONPATH=src:. python tests/make_sim_goldens.py --which sim
+    PYTHONPATH=src:. python tests/make_sim_goldens.py --which negation
     PYTHONPATH=src:. python tests/make_sim_goldens.py --which trace
     PYTHONPATH=src:. python tests/make_sim_goldens.py --which report
 
@@ -21,6 +22,11 @@ before committing:
   legacy goldens must stay byte-identical — ``--which sim`` *raises* if
   regenerating them would change the committed bytes (pass
   ``--force-sim`` after an intentional behaviour change).
+* ``negation`` — ``negation_goldens.json``: the full SimResult of the
+  sequential simulator and of ``hypersonic`` (agent-dynamic, batch 1 and
+  16) on two negation queries: trips Q_C3, whose guard sits between two
+  positive items, and ``SEQ(A, B, !X)``, whose guard trails the pattern.
+  It pins the guard-list scans and their virtual charges.
 * ``trace`` — ``golden_chrome_trace.json``: the Chrome ``trace_event``
   export of the tiny traced workload (``tests/test_obs.tiny_trace``).  A
   diff means the exporter format or the simulator's traced behaviour
@@ -58,6 +64,15 @@ TRIP_NUM_TRIPS = 80
 TRIP_NUM_BIKES = 8
 TRIP_SEED = 13
 
+NEGATION_GOLDEN_PATH = DATA_DIR / "negation_goldens.json"
+NEGATION_TRIP_WINDOW = 12.0
+#: Simulator runs pinned per negation query: name -> (strategy, kwargs).
+NEGATION_RUNS = {
+    "sequential": ("sequential", {}),
+    "hypersonic_b1": ("hypersonic", {"agent_dynamic": True}),
+    "hypersonic_b16": ("hypersonic", {"agent_dynamic": True, "batch_size": 16}),
+}
+
 
 def golden_workload():
     from tests.conftest import make_stream
@@ -83,6 +98,31 @@ def trip_pattern():
     from repro.workloads.queries import trip_chain_query
 
     return trip_chain_query(TRIP_WINDOW).pattern
+
+
+def negation_queries() -> dict:
+    """The pinned negation queries: name -> (pattern, stream)."""
+    from repro.core import Pattern
+    from repro.workloads.queries import trip_negation_query
+
+    return {
+        "trips_q_c3": (
+            trip_negation_query(NEGATION_TRIP_WINDOW).pattern,
+            trip_workload(),
+        ),
+        "trailing": (
+            Pattern.sequence(["A", "B", "X"], window=5.0, negated=[2]),
+            golden_workload(),
+        ),
+    }
+
+
+def run_negation(query: str, run: str):
+    from repro.simulator import simulate
+
+    pattern, events = negation_queries()[query]
+    strategy, kwargs = NEGATION_RUNS[run]
+    return simulate(strategy, pattern, events, num_cores=NUM_CORES, **kwargs)
 
 
 def result_payload(result) -> dict:
@@ -166,6 +206,21 @@ def collect_trip_chain() -> dict:
     return goldens
 
 
+def collect_negation() -> dict:
+    goldens: dict = {}
+    for query in negation_queries():
+        runs = {run: result_payload(run_negation(query, run))
+                for run in NEGATION_RUNS}
+        counts = {payload["matches"] for payload in runs.values()}
+        if len(counts) != 1 or 0 in counts:
+            raise RuntimeError(
+                f"negation runs of {query!r} disagree or found nothing: "
+                f"{counts}"
+            )
+        goldens[query] = runs
+    return goldens
+
+
 def _serialize(goldens: dict) -> str:
     return json.dumps(goldens, indent=1, sort_keys=True) + "\n"
 
@@ -195,6 +250,13 @@ def write_trip_goldens() -> None:
         _serialize(collect_trip_chain()), encoding="utf-8"
     )
     print(f"wrote {TRIP_GOLDEN_PATH}")
+
+
+def write_negation_goldens() -> None:
+    NEGATION_GOLDEN_PATH.write_text(
+        _serialize(collect_negation()), encoding="utf-8"
+    )
+    print(f"wrote {NEGATION_GOLDEN_PATH}")
 
 
 def write_trace_golden() -> None:
@@ -265,7 +327,8 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
         "--which",
-        choices=("sim", "trips", "trace", "report", "dashboard", "all"),
+        choices=("sim", "trips", "negation", "trace", "report", "dashboard",
+                 "all"),
         default="all",
         help="which golden set to regenerate (default: all)",
     )
@@ -279,6 +342,8 @@ def main() -> None:
         write_sim_goldens(force=args.force_sim)
     if which in ("trips", "all"):
         write_trip_goldens()
+    if which in ("negation", "all"):
+        write_negation_goldens()
     if which in ("trace", "all"):
         write_trace_golden()
     if which in ("report", "all"):

@@ -10,7 +10,13 @@ timings vary.
 from __future__ import annotations
 
 import multiprocessing
+import os
 import pickle
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
@@ -229,8 +235,102 @@ class TestDifferential:
         assert got == want
 
 
+ROOT = Path(__file__).resolve().parent.parent
+
+#: A two-worker procs run long enough to be killed midway, on little CPU:
+#: one stage's predicate sleeps, and small inboxes keep the backlog short.
+ORPHAN_RUN = """
+import sys
+import time
+from repro.core import Pattern
+from repro.core.conditions import UnaryCondition
+from repro.runtime.procs import ProcsPipelineEngine
+from tests.conftest import make_stream
+
+position, pause = sys.argv[1], float(sys.argv[2])
+
+def slow(event):
+    time.sleep(pause)
+    return True
+
+pattern = Pattern.sequence(["A", "B", "C"], window=20.0,
+                           condition=UnaryCondition(position, slow))
+engine = ProcsPipelineEngine(pattern, procs=2, queue_capacity=8,
+                             start_method="fork")
+engine.run(make_stream(num_events=4000, seed=3), timeout=600.0)
+"""
+
+
+def _proc_stat(pid: int) -> tuple[str, int] | None:
+    """(state, parent pid) of a live process, from ``/proc``."""
+    try:
+        text = Path(f"/proc/{pid}/stat").read_text()
+    except (FileNotFoundError, ProcessLookupError):
+        return None
+    state, ppid = text[text.rindex(")") + 2:].split()[:2]
+    return state, int(ppid)
+
+
+def _children(pid: int) -> list[int]:
+    found = []
+    for entry in Path("/proc").iterdir():
+        if entry.name.isdigit():
+            stat = _proc_stat(int(entry.name))
+            if stat is not None and stat[1] == pid:
+                found.append(int(entry.name))
+    return found
+
+
+def _running(pid: int) -> bool:
+    """Alive and not a zombie (an orphan's reaper may be slow or absent)."""
+    stat = _proc_stat(pid)
+    return stat is not None and stat[0] not in ("Z", "X")
+
+
 @pytest.mark.wallclock
 class TestRobustness:
+    @pytest.mark.skipif(
+        not Path("/proc/self/stat").exists()
+        or "fork" not in multiprocessing.get_all_start_methods(),
+        reason="needs /proc and the fork start method",
+    )
+    @pytest.mark.parametrize("position,pause", [
+        # Slow downstream worker: both find their inboxes empty.
+        ("p3", "0.002"),
+        # Slow upstream worker: the downstream one exits first, and the
+        # upstream one blocks forwarding into its full inbox.
+        ("p2", "0.03"),
+    ])
+    def test_workers_exit_when_parent_is_killed(self, position, pause):
+        env = dict(os.environ, PYTHONPATH=f"{ROOT / 'src'}{os.pathsep}{ROOT}")
+        helper = subprocess.Popen(
+            [sys.executable, "-c", ORPHAN_RUN, position, pause],
+            env=env, cwd=ROOT,
+        )
+        workers: list[int] = []
+        try:
+            deadline = time.monotonic() + 60.0
+            while len(workers) < 2 and time.monotonic() < deadline:
+                assert helper.poll() is None, "the helper run ended early"
+                time.sleep(0.05)
+                workers = _children(helper.pid)
+            assert len(workers) == 2
+            time.sleep(1.0)
+            assert helper.poll() is None, "the run ended before the kill"
+            helper.kill()
+            helper.wait()
+            deadline = time.monotonic() + 5.0
+            while any(map(_running, workers)) \
+                    and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert not [pid for pid in workers if _running(pid)]
+        finally:
+            helper.kill()
+            helper.wait()
+            for pid in workers:
+                if _running(pid):
+                    os.kill(pid, signal.SIGKILL)
+
     def test_worker_crash_raises_clean_error(self):
         pattern, events = stock_case()
         engine = ProcsPipelineEngine(pattern, procs=2,

@@ -19,11 +19,15 @@ from repro.simulator import STRATEGIES, simulate
 
 from tests.make_sim_goldens import (
     GOLDEN_PATH,
+    NEGATION_GOLDEN_PATH,
+    NEGATION_RUNS,
     NUM_CORES,
     TRIP_GOLDEN_PATH,
     golden_pattern,
     golden_workload,
+    negation_queries,
     result_payload,
+    run_negation,
     trip_pattern,
     trip_workload,
 )
@@ -74,6 +78,16 @@ def test_trip_chain_results_bit_identical(strategy):
         **kwargs,
     )
     assert _roundtrip(result) == goldens["closed_loop"][strategy]
+
+
+@pytest.mark.parametrize("run", sorted(NEGATION_RUNS))
+@pytest.mark.parametrize("query", sorted(negation_queries()))
+def test_negation_results_bit_identical(query, run):
+    """Negation queries through the simulator (``negation_goldens.json``):
+    an internal guard (trips Q_C3) and a trailing one (``SEQ(A, B, !X)``),
+    so the guard-list scans and their virtual charges are pinned."""
+    goldens = json.loads(NEGATION_GOLDEN_PATH.read_text())
+    assert _roundtrip(run_negation(query, run)) == goldens[query][run]
 
 
 def test_measure_latency_bit_identical(goldens, pattern):
