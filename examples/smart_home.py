@@ -1,4 +1,4 @@
-"""Smart-home activity monitoring with negation, on real threads.
+"""Smart-home activity monitoring with negation, on real processes.
 
 Run:  python examples/smart_home.py
 
@@ -8,8 +8,8 @@ moving away from the kitchen, WITHOUT a washing activity in between" —
 a sequence with an internal negation (Table 2's Q_B3 shape).
 
 The detection runs three ways — sequential baseline, the hybrid engine's
-deterministic driver, and the real-threads pipeline runtime — and checks
-all three agree.
+deterministic driver, and the multiprocessing pipeline runtime — and
+checks all three agree.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import time
 from repro.datasets import SensorConfig, generate_sensor_stream
 from repro.engine import assert_equivalent, detect
 from repro.hypersonic import HypersonicEngine
-from repro.runtime import ThreadedPipelineEngine
+from repro.runtime import ProcsPipelineEngine
 from repro.workloads import sensor_negation_query
 
 
@@ -56,14 +56,14 @@ def main() -> None:
     print("hybrid engine: identical match set (deterministic driver)")
 
     started = time.perf_counter()
-    threaded = ThreadedPipelineEngine(spec.pattern).run(events)
-    threaded_seconds = time.perf_counter() - started
-    assert_equivalent(reference, threaded, "threads")
+    procs = ProcsPipelineEngine(spec.pattern, procs=2).run(events)
+    procs_seconds = time.perf_counter() - started
+    assert_equivalent(reference, procs, "procs")
     print(
-        f"threaded pipeline: identical match set in "
-        f"{threaded_seconds * 1000:.0f} ms "
-        "(one OS thread per agent; correctness under real concurrency — "
-        "speedups are the simulator's job, the GIL forbids them here)"
+        f"procs pipeline: identical match set in "
+        f"{procs_seconds * 1000:.0f} ms "
+        "(agents on worker processes; this query has one agent, so one "
+        "worker runs it)"
     )
 
     if reference:

@@ -8,7 +8,7 @@ code:
 
 ``detect``
     Run a Table 2 query template over a stream CSV with a chosen engine
-    (sequential, hybrid, or threads) and print the matches found.
+    (sequential or hybrid) and print the matches found.
 
 ``simulate``
     Race parallelization strategies over a stream CSV on the
@@ -101,7 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
     det.add_argument("--consumption", choices=["reuse", "consume"],
                      default=None,
                      help="consumption policy override (default: reuse)")
-    det.add_argument("--engine", choices=["sequential", "hybrid", "threads"],
+    det.add_argument("--engine", choices=["sequential", "hybrid"],
                      default="sequential")
     det.add_argument("--units", type=int, default=4,
                      help="execution units for the hybrid engine")
@@ -548,14 +548,10 @@ def _command_detect(args) -> int:
         from repro.engine import detect
 
         matches = detect(spec.pattern, events)
-    elif args.engine == "hybrid":
+    else:
         from repro.hypersonic import detect_hybrid
 
         matches = detect_hybrid(spec.pattern, events, num_units=args.units)
-    else:
-        from repro.runtime import ThreadedPipelineEngine
-
-        matches = ThreadedPipelineEngine(spec.pattern).run(events)
     print(f"{len(matches)} matches ({args.engine} engine)")
     for match in matches[: args.show]:
         positions = ", ".join(

@@ -50,7 +50,8 @@ class LoadShedder:
     ``seed_types``
         Stage-0 types: each admitted one opens a new partial match.
     ``consumers``
-        ``type name -> AgentCore`` for stage ``>= 1`` event types; used by
+        ``type name -> AgentCore`` for stage ``>= 1`` event types (for a
+        fused agent, the part consuming the type); used by
         the pattern policy's hot/cold test.  Foreign types (in none of the
         three sets) are dropped by the splitter anyway and never reach the
         shedder's counters.
@@ -126,16 +127,8 @@ class LoadShedder:
     @staticmethod
     def _consumer_hot(agent) -> bool:
         """Does the consuming agent hold partial matches an event of its
-        type could extend (buffered MB or queued MS work)?
-
-        Duck-typed over the two agent shapes: plain agents carry one
-        ``match_buffer``; fused agents carry ``mb1``/``mb2``.
-        """
-        for attr in ("match_buffer", "mb1", "mb2"):
-            buffer = getattr(agent, attr, None)
-            if buffer is not None and buffer.total_items() > 0:
-                return True
-        return len(agent.ms) > 0
+        type could extend (buffered MB or queued MS work)?"""
+        return agent.match_buffer.total_items() > 0 or len(agent.ms) > 0
 
     def _record(self, name: str) -> bool:
         self.shed_total += 1

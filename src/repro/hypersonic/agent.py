@@ -71,10 +71,36 @@ from repro.core.nfa import NegationGuard, Stage, last_bound_event, seq_order_all
 from repro.hypersonic.buffers import AgentGlobalBuffer, BufferSnapshot, FragmentedBuffer
 from repro.hypersonic.items import ItemKind, Receipt, WorkItem, WorkQueue
 
-__all__ = ["AgentCore", "QuarantineEntry"]
+__all__ = ["AgentCore", "QuarantineEntry", "guard_type_names"]
 
 _timestamp = attrgetter("timestamp")
 _earliest = attrgetter("earliest")
+
+
+def _agent_guards(
+    stages: tuple[Stage, ...], stage_index: int, is_last: bool
+) -> tuple[tuple[NegationGuard, ...], tuple[NegationGuard, ...]]:
+    """The negation guards the agent binding *stage_index* enforces:
+    internal ones, between the previous stage and this one, and, on the
+    last agent, the trailing ones."""
+    internal = tuple(
+        guard for guard in stages[stage_index - 1].guards_after
+        if not guard.trailing
+    )
+    trailing = (
+        tuple(g for g in stages[stage_index].guards_after if g.trailing)
+        if is_last
+        else ()
+    )
+    return internal, trailing
+
+
+def guard_type_names(
+    stages: tuple[Stage, ...], stage_index: int, is_last: bool
+) -> frozenset[str]:
+    """The negated event types the agent binding *stage_index* consumes."""
+    internal, trailing = _agent_guards(stages, stage_index, is_last)
+    return frozenset(guard.item.event_type.name for guard in internal + trailing)
 
 
 @dataclass
@@ -103,7 +129,6 @@ class AgentCore:
         window: float,
         watermark: Callable[[], float],
         is_last: bool,
-        purge_slack: float | None = None,
         global_floor=None,
     ) -> None:
         if stage_index < 1 or stage_index >= len(stages):
@@ -121,24 +146,13 @@ class AgentCore:
         # *events* must out-live the window by a full W.  The event stream,
         # by contrast, is timestamp-FIFO, so buffered *matches* can be
         # purged against a tight watermark-backed bound.
-        self.event_purge_slack = window if purge_slack is None else purge_slack
-        self.match_purge_slack = (
-            0.25 * window if purge_slack is None else purge_slack
-        )
+        self.event_purge_slack = window
+        self.match_purge_slack = 0.25 * window
 
-        self.internal_guards: tuple[NegationGuard, ...] = tuple(
-            guard
-            for guard in stages[stage_index - 1].guards_after
-            if not guard.trailing
+        self.internal_guards, self.trailing_guards = _agent_guards(
+            stages, stage_index, is_last
         )
-        self.trailing_guards: tuple[NegationGuard, ...] = (
-            tuple(g for g in stages[stage_index].guards_after if g.trailing)
-            if is_last
-            else ()
-        )
-        guard_types = {g.item.event_type.name for g in self.internal_guards}
-        guard_types |= {g.item.event_type.name for g in self.trailing_guards}
-        self.guard_type_names = frozenset(guard_types)
+        self.guard_type_names = guard_type_names(stages, stage_index, is_last)
 
         label = f"A{agent_index}"
         self.es = WorkQueue(f"{label}.ES")
@@ -596,7 +610,7 @@ class AgentCore:
                 extended, self.internal_guards, receipt
             ):
                 return
-            if not self._internal_clear(bind_ts):
+            if not self._clear_at(bind_ts):
                 self._quarantine.append(
                     QuarantineEntry(
                         partial=extended,
@@ -695,9 +709,6 @@ class AgentCore:
                     receipt.emitted_down.append(grown)
                     self._pending_loop.append(grown)
             self._store_match(current, unit_id)
-
-    def _internal_clear(self, bind_ts: float) -> bool:
-        return self._clear_at(bind_ts)
 
     def _clear_at(self, release_ts: float) -> bool:
         """All negated events with timestamp <= release_ts processed?"""

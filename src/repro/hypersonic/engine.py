@@ -59,7 +59,6 @@ class HypersonicConfig:
     force_fusion_pairs: tuple[tuple[int, int], ...] = ()
     allocation: str = "cost"
     seed: int = 7
-    purge_slack: float | None = None
     sample_size: int = 2000
     max_inflight: int = 4096
     snapshot_interval: int = 64
@@ -163,22 +162,13 @@ class HypersonicEngine:
         self.agents = []
         for position, group in enumerate(groups):
             is_last = position == len(groups) - 1
-            agent = build_agent(
-                group, position, nfa, watermark, is_last, config.purge_slack
-            )
+            agent = build_agent(group, position, nfa, watermark, is_last)
             self.agents.append(agent)
         # System-wide match floor for guard-event purges (see AgentCore).
         agents = self.agents
 
         def global_floor() -> float:
-            floor = float("inf")
-            for agent in agents:
-                local = getattr(agent, "local_match_floor", None)
-                if local is not None:
-                    value = local()
-                    if value < floor:
-                        floor = value
-            return floor
+            return min(agent.local_match_floor() for agent in agents)
 
         for agent in agents:
             if hasattr(agent, "global_floor"):
@@ -226,16 +216,14 @@ class HypersonicEngine:
                         type_name,
                         RouteTarget(queue=agent.guard_q, kind=ItemKind.GUARD),
                     )
-            else:  # fused agent: two event inputs
+            else:  # fused agent: one event input per part
                 splitter.add_route(
-                    agent.first.event_type_name,
+                    agent.first.stage.event_type_name,
                     RouteTarget(queue=agent.es, kind=ItemKind.EVENT),
                 )
                 splitter.add_route(
-                    agent.second.event_type_name,
-                    RouteTarget(
-                        queue=agent.es2, kind=ItemKind.EVENT2, is_event2=True
-                    ),
+                    agent.second.stage.event_type_name,
+                    RouteTarget(queue=agent.es2, kind=ItemKind.EVENT2),
                 )
 
     # ------------------------------------------------------------------ #
@@ -344,8 +332,6 @@ class HypersonicEngine:
 
     def _route_receipt(self, agent, receipt: Receipt) -> None:
         position = agent.agent_index
-        for partial in receipt.emitted_self:
-            agent.ms.push(WorkItem(ItemKind.MATCH, partial))
         if position + 1 < len(self.agents):
             downstream = self.agents[position + 1]
             for partial in receipt.emitted_down:

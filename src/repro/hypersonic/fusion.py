@@ -2,38 +2,38 @@
 
 Fusion merges two consecutive agents into a single structure preserving
 their joint functionality so a lightweight agent does not hold two
-execution units hostage.  A fused agent keeps both pairs of buffers
-(``EB_i``/``MB_i`` and ``EB_{i+1}``/``MB_{i+1}``); results of the first
-stage's join are written into ``MB_{i+1}`` *inside* the agent instead of
-crossing a queue, and immediately joined against ``EB_{i+1}`` so the
-exactly-once pair evaluation is preserved across the internal boundary.
+execution units hostage.  A fused agent is two :class:`AgentCore` parts,
+one per stage, with both pairs of buffers (``EB_i``/``MB_i`` and
+``EB_{i+1}``/``MB_{i+1}``); results of the first stage's join are written
+into ``MB_{i+1}`` *inside* the agent instead of crossing a queue, and
+immediately joined against ``EB_{i+1}`` so the exactly-once pair
+evaluation is preserved across the internal boundary.
 
 Fusion is planned by :func:`plan_with_fusion` — Algorithm 2: allocate,
 fuse any agent that received fewer than two units with its lighter
 neighbour, re-allocate, repeat.
 
 Restrictions (as in the paper's evaluation, which fused plain adjacent
-pairs of sequence agents): Kleene and negation-guarded stages are not
-fusable.
+pairs of sequence agents): Kleene stages are not fusable, and neither
+part may enforce a negation guard.  A guard after the pair's second
+stage is fine unless that stage is the last: the next agent enforces it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 from repro.core.errors import AllocationError, PatternError
-from repro.core.events import Event
-from repro.core.matches import PartialMatch
-from repro.core.nfa import ChainNFA, Stage, last_bound_event, seq_order_allows
+from repro.core.nfa import ChainNFA, Stage
 from repro.costmodel.model import (
     CostParameters,
     WorkloadStatistics,
     proportional_allocation,
 )
-from repro.hypersonic.agent import AgentCore
-from repro.hypersonic.buffers import AgentGlobalBuffer, BufferSnapshot, FragmentedBuffer
-from repro.hypersonic.items import ItemKind, Receipt, WorkItem, WorkQueue
+from repro.hypersonic.agent import AgentCore, guard_type_names
+from repro.hypersonic.buffers import BufferSnapshot
+from repro.hypersonic.items import ItemKind, Receipt, WorkItem
 
 __all__ = ["FusedAgentCore", "FusionPlan", "plan_with_fusion"]
 
@@ -41,9 +41,17 @@ __all__ = ["FusedAgentCore", "FusionPlan", "plan_with_fusion"]
 class FusedAgentCore:
     """Two consecutive stages executed by one agent (Section 4.2).
 
-    Exposes the same driving surface as :class:`AgentCore` (``pop`` /
+    Built from two :class:`AgentCore` parts that share one AGB: ``first``
+    binds stage ``i`` and ``second`` stage ``i+1``.  ES1 and MS items go to
+    ``first``.  The partial matches ``first`` emits are pushed onto
+    ``second.ms`` and drained there in the same call, by the same unit:
+    the paper's write to ``MB_{i+1}``, joined against ``EB_{i+1}`` at once.
+    ES2 items go to ``second``; they carry their own kind, ``EVENT2``,
+    because both stages may consume the same event type.
+
+    Exposes the driving surface of :class:`AgentCore` (``pop`` /
     ``process`` / ``has_*_work`` / ``snapshot``), so drivers and policies
-    treat fused and plain agents uniformly.
+    treat fused and plain agents alike.
     """
 
     def __init__(
@@ -54,64 +62,29 @@ class FusedAgentCore:
         window: float,
         watermark: Callable[[], float],
         is_last: bool,
-        purge_slack: float | None = None,
     ) -> None:
-        second = first_stage_index + 1
-        if second >= len(stages):
-            raise AllocationError("fusion needs two consecutive stages")
-        for stage_index in (first_stage_index, second):
-            stage = stages[stage_index]
-            if stage.is_kleene:
-                raise PatternError("Kleene stages cannot be fused")
-        if stages[first_stage_index - 1].guards_after or stages[
-            first_stage_index
-        ].guards_after:
-            raise PatternError("negation-guarded stages cannot be fused")
-        if is_last and stages[second].guards_after:
-            raise PatternError("negation-guarded stages cannot be fused")
-
+        error = _fusion_error(stages, first_stage_index, is_last)
+        if error is not None:
+            raise error
         self.agent_index = agent_index
-        self.stages = stages
-        self.first = stages[first_stage_index]
-        self.second = stages[second]
-        self.first_index = first_stage_index
-        self.second_index = second
-        self.window = window
-        self.watermark = watermark
-        self.is_last = is_last
-        self.purge_slack = window if purge_slack is None else purge_slack
+        self.first = AgentCore(
+            agent_index, stages, first_stage_index, window, watermark,
+            is_last=False,
+        )
+        self.second = AgentCore(
+            agent_index, stages, first_stage_index + 1, window, watermark,
+            is_last=is_last,
+        )
+        # One AGB, so each payload is counted once.
+        self.agb = self.second.agb = self.first.agb
+        self.es = self.first.es
+        # ``second``'s own ES, so its match-buffer purge sees the ES2
+        # backlog.
+        self.es2 = self.second.es
+        self.ms = self.first.ms
+        self.guard_q = self.first.guard_q  # always empty: guards never fuse
         self.guard_type_names: frozenset[str] = frozenset()
-
-        label = f"F{agent_index}"
-        self.es = WorkQueue(f"{label}.ES1")
-        self.es2 = WorkQueue(f"{label}.ES2")
-        self.ms = WorkQueue(f"{label}.MS")
-        self.guard_q = WorkQueue(f"{label}.GQ")  # always empty; kept for API
-
-        self.eb1: FragmentedBuffer[Event] = FragmentedBuffer(f"{label}.EB1")
-        self.mb1: FragmentedBuffer[PartialMatch] = FragmentedBuffer(f"{label}.MB1")
-        self.eb2: FragmentedBuffer[Event] = FragmentedBuffer(f"{label}.EB2")
-        self.mb2: FragmentedBuffer[PartialMatch] = FragmentedBuffer(f"{label}.MB2")
-        self.agb = AgentGlobalBuffer()
-
-        self.latest_e1 = float("-inf")
-        self.latest_e2 = float("-inf")
-        self.latest_m = float("-inf")
-        self.latest_internal = float("-inf")
         self.items_processed = 0
-
-        # Batched execution mode (opt-in via :meth:`enable_vector_mode`):
-        # one StageKernel per fused stage, plus per-owner columnar views
-        # over the four fragments.  ``None`` kernel = stage not
-        # vectorizable; that side of the join keeps the scalar loop.
-        self.vector_mode = False
-        self._kernel1 = None
-        self._kernel2 = None
-        self._kernels_compiled = False
-        self._mb1_columns: dict[int, object] = {}
-        self._mb2_columns: dict[int, object] = {}
-        self._eb1_columns: dict[int, object] = {}
-        self._eb2_columns: dict[int, object] = {}
 
     # -- work intake ----------------------------------------------------- #
 
@@ -143,389 +116,90 @@ class FusedAgentCore:
             ("MS", len(self.ms)),
         )
 
+    # -- processing ------------------------------------------------------ #
+
+    def process(self, item: WorkItem, unit_id: int) -> Receipt:
+        self.items_processed += 1
+        if item.kind is ItemKind.EVENT2:
+            return self.second.process(WorkItem.event(item.payload), unit_id)
+        return self._drain_into_second(self.first.process(item, unit_id),
+                                       unit_id)
+
+    def process_batch(self, items: list[WorkItem], unit_id: int) -> Receipt:
+        """A single-kind batch goes to its part's batched path; a mixed
+        one is processed item by item."""
+        es2_items = [item for item in items if item.kind is ItemKind.EVENT2]
+        if es2_items and len(es2_items) < len(items):
+            receipt = Receipt()
+            for item in items:
+                receipt.merge(self.process(item, unit_id))
+            return receipt
+        self.items_processed += len(items)
+        if es2_items:
+            return self.second.process_batch(
+                [WorkItem.event(item.payload) for item in es2_items], unit_id
+            )
+        return self._drain_into_second(
+            self.first.process_batch(items, unit_id), unit_id
+        )
+
+    def _drain_into_second(self, receipt: Receipt, unit_id: int) -> Receipt:
+        """Queue every partial *receipt* emitted on ``second.ms``, then drain
+        the queue through ``second``.
+
+        A batched scan emits partials owner by owner, not in timestamp
+        order.  While queued, they hold down ``second.ms.min_event_time()``,
+        which keeps ``second``'s event-buffer purge from dropping events a
+        partial not yet joined still needs.
+        """
+        second = self.second
+        for partial in receipt.emitted_down:
+            second.ms.push(WorkItem.match(partial))
+        receipt.emitted_down = []
+        item = second.ms.pop()
+        while item is not None:
+            receipt.merge(second.process(item, unit_id))
+            item = second.ms.pop()
+        return receipt
+
+    def enable_vector_mode(self) -> bool:
+        """Compile both parts' kernels; ``True`` when either part has one."""
+        first = self.first.enable_vector_mode()
+        second = self.second.enable_vector_mode()
+        return first or second
+
+    @property
+    def vector_mode(self) -> bool:
+        return self.first.vector_mode or self.second.vector_mode
+
     def maintenance(self) -> Receipt:
+        # Neither part has a quarantine or Kleene growth to release.
         return Receipt()
 
     def flush(self) -> Receipt:
         return Receipt()
 
-    # -- processing ------------------------------------------------------ #
-
-    def process(self, item: WorkItem, unit_id: int) -> Receipt:
-        self.items_processed += 1
-        if item.kind is ItemKind.EVENT:
-            return self._process_e1(item.payload, unit_id)
-        if item.kind is ItemKind.EVENT2:
-            return self._process_e2(item.payload, unit_id)
-        if item.kind is ItemKind.MATCH:
-            return self._process_match(item.payload, unit_id)
-        raise AllocationError(f"fused agent cannot process {item.kind}")
-
-    def enable_vector_mode(self) -> bool:
-        """Compile both fused stages' vectorized kernels (batched mode).
-
-        Returns ``True`` when at least one side is vectorizable; each side
-        without a kernel keeps its scalar loop.  Idempotent.
-        """
-        if not self._kernels_compiled:
-            from repro.core.vectorized import compile_stage_kernel
-
-            self._kernel1 = compile_stage_kernel(self.first)
-            self._kernel2 = compile_stage_kernel(self.second)
-            self._kernels_compiled = True
-        self.vector_mode = (
-            self._kernel1 is not None or self._kernel2 is not None
-        )
-        return self.vector_mode
-
-    def process_batch(self, items: list[WorkItem], unit_id: int) -> Receipt:
-        """Process a micro-batch of work items with one merged receipt.
-
-        Single-kind event batches on a vectorized side take the batched
-        scan — one MB-fragment traversal amortized over the batch; mixed
-        kinds or a missing kernel fall back to the scalar loop.  The match
-        set is identical either way (exactly-once pair evaluation, as for
-        the plain agent's batched path).
-        """
-        if len(items) > 1:
-            if self._kernel1 is not None and all(
-                item.kind is ItemKind.EVENT for item in items
-            ):
-                self.items_processed += len(items)
-                return self._process_e1_batch(
-                    [item.payload for item in items], unit_id
-                )
-            if self._kernel2 is not None and all(
-                item.kind is ItemKind.EVENT2 for item in items
-            ):
-                self.items_processed += len(items)
-                return self._process_e2_batch(
-                    [item.payload for item in items], unit_id
-                )
-        receipt = Receipt()
-        for item in items:
-            receipt.merge(self.process(item, unit_id))
-        return receipt
-
-    def _process_e1_batch(
-        self, events: list[Event], unit_id: int
-    ) -> Receipt:
-        """Batched first-stage scan: one MB1 traversal over the batch.
-
-        ES1 deliveries are timestamp-FIFO, so the purge horizon from the
-        batch's *first* event is lax for every later one; extra retained
-        items cannot match (they fail ``fits_with``), keeping the match
-        set identical to the scalar order.  The same lax horizon caps the
-        internal MB2/EB2 purges — mid-batch ``latest_internal`` may run
-        ahead of the event in hand, and purging with it would drop EB2
-        events an earlier event's extension could still reach.
-        """
-        receipt = Receipt()
-        window = self.window
-        kernel = self._kernel1
-        horizon = events[0].timestamp - window - self.purge_slack
-        for event in events:
-            if event.timestamp > self.latest_e1:
-                self.latest_e1 = event.timestamp
-        for owner, _fragment in self.mb1.fragments():
-            self._purge(self.mb1, owner, horizon, match=True)
-            resident = self.mb1._fragments.get(owner)
-            if not resident:
-                receipt.note_fragment(0)
-                continue
-            receipt.note_fragment(len(resident))
-            columns = self._match_columns(
-                self._mb1_columns, self.mb1, owner, kernel,
-                self.first_index, resident,
-            )
-            for event in events:
-                candidates = columns.candidate_indices(event, window)
-                if not candidates:
-                    continue
-                receipt.vector_comparisons += len(candidates)
-                accepted = kernel.accepts_over_matches(
-                    event, columns, candidates,
-                    scalar=lambda i, e=event, r=resident: (
-                        self.first.accepts(r[i], e)
-                    ),
-                )
-                for index in accepted:
-                    extended = resident[index].extended(
-                        self.first.item.name, event
-                    )
-                    self._into_second(
-                        extended, unit_id, receipt, horizon_cap=horizon
-                    )
-        for event in events:
-            self.eb1.store(unit_id, event)
-            self.agb.retain_event(event)
-        return receipt
-
-    def _process_e2_batch(
-        self, events: list[Event], unit_id: int
-    ) -> Receipt:
-        """Batched second-stage scan: one MB2 traversal over the batch
-        (same FIFO horizon argument as :meth:`_process_e1_batch`)."""
-        receipt = Receipt()
-        window = self.window
-        kernel = self._kernel2
-        horizon = events[0].timestamp - window - self.purge_slack
-        for event in events:
-            if event.timestamp > self.latest_e2:
-                self.latest_e2 = event.timestamp
-        for owner, _fragment in self.mb2.fragments():
-            self._purge(self.mb2, owner, horizon, match=True)
-            resident = self.mb2._fragments.get(owner)
-            if not resident:
-                receipt.note_fragment(0)
-                continue
-            receipt.note_fragment(len(resident))
-            columns = self._match_columns(
-                self._mb2_columns, self.mb2, owner, kernel,
-                self.second_index, resident,
-            )
-            for event in events:
-                candidates = columns.candidate_indices(event, window)
-                if not candidates:
-                    continue
-                receipt.vector_comparisons += len(candidates)
-                accepted = kernel.accepts_over_matches(
-                    event, columns, candidates,
-                    scalar=lambda i, e=event, r=resident: (
-                        self.second.accepts(r[i], e)
-                    ),
-                )
-                for index in accepted:
-                    final = resident[index].extended(
-                        self.second.item.name, event
-                    )
-                    receipt.successes += 1
-                    receipt.emitted_down.append(final)
-        for event in events:
-            self.eb2.store(unit_id, event)
-            self.agb.retain_event(event)
-        return receipt
-
-    def _match_columns(self, cache: dict, buffer: FragmentedBuffer,
-                       owner: int, kernel, stage_index: int,
-                       fragment: list):
-        from repro.core.vectorized import MatchColumns
-
-        version = buffer.version(owner)
-        columns = cache.get(owner)
-        if columns is None or columns.version != version:
-            columns = MatchColumns(kernel, version, self.stages, stage_index)
-            cache[owner] = columns
-        columns.sync(fragment)
-        return columns
-
-    def _event_columns(self, cache: dict, buffer: FragmentedBuffer,
-                       owner: int, kernel, fragment: list):
-        from repro.core.vectorized import EventColumns
-
-        version = buffer.version(owner)
-        columns = cache.get(owner)
-        if columns is None or columns.version != version:
-            columns = EventColumns(kernel, version)
-            cache[owner] = columns
-        columns.sync(fragment)
-        return columns
-
-    def _scan_events_vector(self, partial: PartialMatch, resident: list,
-                            owner: int, cache: dict,
-                            buffer: FragmentedBuffer, kernel,
-                            stage_index: int, stage: Stage,
-                            receipt: Receipt) -> list[PartialMatch]:
-        """Vectorized EB-fragment scan for one partial match: window/order
-        pre-masks over the columnar view, then the stage kernel over the
-        surviving candidates.  Returns the extensions in fragment order."""
-        columns = self._event_columns(cache, buffer, owner, kernel, resident)
-        last = last_bound_event(partial, self.stages, stage_index)
-        if last is None:
-            last_ts, last_id = float("-inf"), -1
-        else:
-            last_ts, last_id = last.timestamp, last.event_id
-        candidates = columns.candidate_indices(
-            partial.earliest, partial.latest, last_ts, last_id, self.window
-        )
-        if not candidates:
-            return []
-        receipt.vector_comparisons += len(candidates)
-        accepted = kernel.accepts_over_events(
-            partial, columns, candidates,
-            scalar=lambda i: stage.accepts(partial, resident[i]),
-        )
-        return [
-            partial.extended(stage.item.name, resident[index])
-            for index in accepted
-        ]
-
-    def _process_e1(self, event: Event, unit_id: int) -> Receipt:
-        receipt = Receipt()
-        if event.timestamp > self.latest_e1:
-            self.latest_e1 = event.timestamp
-        horizon = self.latest_e1 - self.window - self.purge_slack
-        for owner, _fragment in self.mb1.fragments():
-            self._purge(self.mb1, owner, horizon, match=True)
-            resident = self.mb1._fragments.get(owner, ())
-            receipt.note_fragment(len(resident))
-            for partial in resident:
-                extended = self._join_first(partial, event, receipt)
-                if extended is not None:
-                    self._into_second(extended, unit_id, receipt)
-        self.eb1.store(unit_id, event)
-        self.agb.retain_event(event)
-        return receipt
-
-    def _process_e2(self, event: Event, unit_id: int) -> Receipt:
-        receipt = Receipt()
-        if event.timestamp > self.latest_e2:
-            self.latest_e2 = event.timestamp
-        horizon = self.latest_e2 - self.window - self.purge_slack
-        for owner, _fragment in self.mb2.fragments():
-            self._purge(self.mb2, owner, horizon, match=True)
-            resident = self.mb2._fragments.get(owner, ())
-            receipt.note_fragment(len(resident))
-            for partial in resident:
-                final = self._join_second(partial, event, receipt)
-                if final is not None:
-                    receipt.successes += 1
-                    receipt.emitted_down.append(final)
-        self.eb2.store(unit_id, event)
-        self.agb.retain_event(event)
-        return receipt
-
-    def _process_match(self, partial: PartialMatch, unit_id: int) -> Receipt:
-        receipt = Receipt()
-        if partial.timestamp > self.latest_m:
-            self.latest_m = partial.timestamp
-        horizon = self.latest_m - self.window - self.purge_slack
-        for owner, _fragment in self.eb1.fragments():
-            self._purge(self.eb1, owner, horizon, match=False)
-            resident = self.eb1._fragments.get(owner, ())
-            receipt.note_fragment(len(resident))
-            if self._kernel1 is not None and resident:
-                for extended in self._scan_events_vector(
-                    partial, resident, owner, self._eb1_columns, self.eb1,
-                    self._kernel1, self.first_index, self.first, receipt,
-                ):
-                    self._into_second(extended, unit_id, receipt)
-                continue
-            for event in resident:
-                extended = self._join_first(partial, event, receipt)
-                if extended is not None:
-                    self._into_second(extended, unit_id, receipt)
-        self.mb1.store(unit_id, partial)
-        self.agb.retain_match(partial)
-        return receipt
-
-    def _into_second(
-        self, extended: PartialMatch, unit_id: int, receipt: Receipt,
-        horizon_cap: float | None = None,
-    ) -> None:
-        """An internal match entering MB2: join against EB2 immediately,
-        then store — the paper's 'written to MB_{i+1} triggering a
-        comparison against EB_{i+1}'.
-
-        ``horizon_cap`` bounds the EB2 purge during a batched first-stage
-        scan, where ``latest_internal`` can run ahead of the event whose
-        extensions are still being joined (see ``_process_e1_batch``).
-        """
-        if extended.timestamp > self.latest_internal:
-            self.latest_internal = extended.timestamp
-        horizon = self.latest_internal - self.window - self.purge_slack
-        if horizon_cap is not None and horizon_cap < horizon:
-            horizon = horizon_cap
-        for owner, _fragment in self.eb2.fragments():
-            self._purge(self.eb2, owner, horizon, match=False)
-            resident = self.eb2._fragments.get(owner, ())
-            receipt.note_fragment(len(resident))
-            if self._kernel2 is not None and resident:
-                for final in self._scan_events_vector(
-                    extended, resident, owner, self._eb2_columns, self.eb2,
-                    self._kernel2, self.second_index, self.second, receipt,
-                ):
-                    receipt.successes += 1
-                    receipt.emitted_down.append(final)
-                continue
-            for event in resident:
-                final = self._join_second(extended, event, receipt)
-                if final is not None:
-                    receipt.successes += 1
-                    receipt.emitted_down.append(final)
-        self.mb2.store(unit_id, extended)
-        self.agb.retain_match(extended)
-
-    def _join_first(
-        self, partial: PartialMatch, event: Event, receipt: Receipt
-    ) -> PartialMatch | None:
-        if not partial.fits_with(event, self.window):
-            return None
-        if not seq_order_allows(partial, self.stages, self.first_index, event):
-            return None
-        receipt.comparisons += 1
-        if not self.first.accepts(partial, event):
-            return None
-        return partial.extended(self.first.item.name, event)
-
-    def _join_second(
-        self, partial: PartialMatch, event: Event, receipt: Receipt
-    ) -> PartialMatch | None:
-        if not partial.fits_with(event, self.window):
-            return None
-        if not seq_order_allows(partial, self.stages, self.second_index, event):
-            return None
-        receipt.comparisons += 1
-        if not self.second.accepts(partial, event):
-            return None
-        return partial.extended(self.second.item.name, event)
-
-    def _purge(self, buffer: FragmentedBuffer, owner: int, horizon: float,
-               match: bool) -> None:
-        if horizon <= float("-inf"):
-            return
-        fragment = buffer._fragments.get(owner)
-        if not fragment:
-            return
-        kept = []
-        for item in fragment:
-            stamp = item.timestamp
-            if stamp >= horizon:
-                kept.append(item)
-            elif match:
-                self.agb.release_match(item)
-            else:
-                self.agb.release_event(item)
-        if len(kept) != len(fragment):
-            # replace_fragment bumps the fragment's purge version, which
-            # invalidates any cached columnar view over it (batched mode).
-            buffer.replace_fragment(owner, kept)
-
     # -- introspection ----------------------------------------------------- #
 
+    def local_match_floor(self) -> float:
+        return min(self.first.local_match_floor(),
+                   self.second.local_match_floor())
+
     def snapshot(self) -> BufferSnapshot:
-        mb_pointers = sum(
-            partial.event_count() for partial in self.mb1.all_items()
-        ) + sum(partial.event_count() for partial in self.mb2.all_items())
-        return BufferSnapshot(
-            eb_items=self.eb1.total_items() + self.eb2.total_items(),
-            mb_items=self.mb1.total_items() + self.mb2.total_items(),
-            mb_pointers=mb_pointers,
-            agb_bytes=self.agb.current_bytes,
+        merged = BufferSnapshot.merge(
+            [self.first.snapshot(), self.second.snapshot()]
         )
+        return replace(merged, agb_bytes=self.agb.current_bytes,
+                       accounting_errors=self.agb.accounting_errors)
 
     def working_set_items(self, unit_id: int) -> int:
-        total = 0
-        for buffer in (self.eb1, self.eb2, self.mb1, self.mb2):
-            fragment = buffer._fragments.get(unit_id)
-            if fragment:
-                total += len(fragment)
-        return total
+        return (self.first.working_set_items(unit_id)
+                + self.second.working_set_items(unit_id))
 
     def __repr__(self) -> str:
         return (
             f"FusedAgentCore(F{self.agent_index}, stages="
-            f"{self.first_index}+{self.second_index})"
+            f"{self.first.stage_index}+{self.second.stage_index})"
         )
 
 
@@ -557,20 +231,29 @@ class FusionPlan:
         }
 
 
+def _fusion_error(stages: tuple[Stage, ...], first_index: int,
+                  is_last: bool) -> Exception | None:
+    """Why stages ``first_index`` and ``first_index + 1`` cannot share an
+    agent, or ``None`` when they can (module docstring)."""
+    second = first_index + 1
+    if second >= len(stages):
+        return AllocationError("fusion needs two consecutive stages")
+    if stages[first_index].is_kleene or stages[second].is_kleene:
+        return PatternError("Kleene stages cannot be fused")
+    if guard_type_names(stages, first_index, False) or guard_type_names(
+        stages, second, is_last
+    ):
+        return PatternError("negation-guarded stages cannot be fused")
+    return None
+
+
 def _fusable(nfa: ChainNFA, group_a: tuple[int, ...],
              group_b: tuple[int, ...]) -> bool:
     """Only plain adjacent single-stage agents fuse (module docstring)."""
     if len(group_a) > 1 or len(group_b) > 1:
         return False
-    first, second = group_a[0], group_b[0]
-    stages = nfa.stages
-    if stages[first].is_kleene or stages[second].is_kleene:
-        return False
-    if stages[first - 1].guards_after or stages[first].guards_after:
-        return False
-    if stages[second].guards_after:
-        return False
-    return True
+    is_last = group_b[0] == nfa.num_stages - 1
+    return _fusion_error(nfa.stages, group_a[0], is_last) is None
 
 
 def plan_with_fusion(
@@ -651,7 +334,6 @@ def build_agent(
     nfa: ChainNFA,
     watermark: Callable[[], float],
     is_last: bool,
-    purge_slack: float | None,
 ):
     """Instantiate the right core for one chain position."""
     if len(group) == 1:
@@ -662,7 +344,6 @@ def build_agent(
             window=nfa.window,
             watermark=watermark,
             is_last=is_last,
-            purge_slack=purge_slack,
         )
     return FusedAgentCore(
         agent_index=agent_index,
@@ -671,5 +352,4 @@ def build_agent(
         window=nfa.window,
         watermark=watermark,
         is_last=is_last,
-        purge_slack=purge_slack,
     )

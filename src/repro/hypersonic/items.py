@@ -38,7 +38,7 @@ class WorkItem:
     """One unit of work flowing between system components."""
 
     kind: ItemKind
-    payload: Any  # Event for EVENT/GUARD, PartialMatch for MATCH
+    payload: Any  # Event for EVENT/EVENT2/GUARD, PartialMatch for MATCH
 
     @classmethod
     def event(cls, event: Event) -> "WorkItem":
@@ -51,13 +51,6 @@ class WorkItem:
     @classmethod
     def guard(cls, event: Event) -> "WorkItem":
         return cls(ItemKind.GUARD, event)
-
-    @property
-    def event_timestamp(self) -> float:
-        """Event-time of the payload (pm timestamp for matches)."""
-        if self.kind is ItemKind.MATCH:
-            return self.payload.timestamp
-        return self.payload.timestamp
 
 
 class WorkQueue:
@@ -89,7 +82,7 @@ class WorkQueue:
 
     def push(self, item: WorkItem, ready_at: float = 0.0) -> None:
         self._entries.append((item, ready_at))
-        event_time = item.event_timestamp
+        event_time = item.payload.timestamp
         while self._min_times and self._min_times[-1] > event_time:
             self._min_times.pop()
         self._min_times.append(event_time)
@@ -105,7 +98,7 @@ class WorkQueue:
         if ready_at > now:
             return None
         self._entries.popleft()
-        if self._min_times and self._min_times[0] == item.event_timestamp:
+        if self._min_times and self._min_times[0] == item.payload.timestamp:
             self._min_times.popleft()
         self.popped += 1
         return item
@@ -129,7 +122,7 @@ class WorkQueue:
     def head_event_time(self) -> float | None:
         if not self._entries:
             return None
-        return self._entries[0][0].event_timestamp
+        return self._entries[0][0].payload.timestamp
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -145,9 +138,7 @@ class Receipt:
     The drivers convert these counts into virtual time:
     ``fragments_locked * b_i + comparisons * c_i + pushes * q_i`` — the
     exact decomposition of the paper's per-agent load (Section 3.3.1).
-    ``emitted_down`` flows to the next agent (or the match collector);
-    ``emitted_self`` loops back into this agent's own match stream (the
-    Kleene self-loop of Section 3.2).
+    ``emitted_down`` flows to the next agent (or the match collector).
     """
 
     comparisons: int = 0
@@ -161,11 +152,10 @@ class Receipt:
     #: cache-friendly access pattern the penalty models the absence of.
     vector_comparisons: int = 0
     emitted_down: list[PartialMatch] = field(default_factory=list)
-    emitted_self: list[PartialMatch] = field(default_factory=list)
 
     @property
     def pushes(self) -> int:
-        return len(self.emitted_down) + len(self.emitted_self)
+        return len(self.emitted_down)
 
     def note_fragment(self, size: int) -> None:
         """Record one fragment traversal of *size* resident items."""
@@ -181,4 +171,3 @@ class Receipt:
         self.scan_sq += other.scan_sq
         self.vector_comparisons += other.vector_comparisons
         self.emitted_down.extend(other.emitted_down)
-        self.emitted_self.extend(other.emitted_self)

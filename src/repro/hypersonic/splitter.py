@@ -36,7 +36,6 @@ class RouteTarget:
     queue: WorkQueue
     kind: ItemKind
     seed_position: str | None = None  # set for stage-0 seeds
-    is_event2: bool = False           # second event input of a fused agent
 
 
 @dataclass

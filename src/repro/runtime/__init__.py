@@ -1,11 +1,9 @@
-"""Real-clock runtimes for the agent pipeline.
+"""Real-clock runtime for the agent pipeline.
 
-:mod:`repro.runtime.threads` — one thread per agent, GIL-bound,
-correctness-only.  :mod:`repro.runtime.procs` — worker processes on real
-cores, emitting measured wall-clock traces the cost-model fitter consumes.
+:mod:`repro.runtime.procs` — worker processes on real cores, emitting
+measured wall-clock traces the cost-model fitter consumes.
 """
 
 from repro.runtime.procs import ProcsPipelineEngine
-from repro.runtime.threads import ThreadedPipelineEngine
 
-__all__ = ["ProcsPipelineEngine", "ThreadedPipelineEngine"]
+__all__ = ["ProcsPipelineEngine"]

@@ -3,11 +3,11 @@
 This module runs the HYPERSONIC agent chain on real OS *processes* — the
 chain is cut into contiguous slices of agents, each slice hosted by one
 worker process, with the parent playing the splitter over bounded
-``multiprocessing`` queues.  Unlike :mod:`repro.runtime.threads` (GIL-bound,
-correctness-only), separate processes execute on separate cores, so this
-backend produces *measured* wall-clock traces: the same JSONL schema the
-virtual-clock simulators emit (``UNIT_BUSY`` spans against a shared
-monotonic epoch, an ``ALLOC_PLAN`` with fittable feature rows), which lets
+``multiprocessing`` queues.  Separate processes execute on separate
+cores, so this backend produces *measured* wall-clock traces: the same
+JSONL schema the virtual-clock simulators emit (``UNIT_BUSY`` spans
+against a shared monotonic epoch, an ``ALLOC_PLAN`` with fittable
+feature rows), which lets
 :func:`repro.costmodel.fitting.fit_from_trace` calibrate
 :class:`~repro.costmodel.model.CostParameters` — including the
 window-based communication terms ``comm_event`` / ``comm_match`` (Mayer et
@@ -29,7 +29,7 @@ Determinism contract
 --------------------
 Message interleavings are racy, but the agents' streaming join evaluates
 every event/match pair exactly once regardless of arrival order, and a
-worker's local watermark only ever *lags* the threads engine's eager
+worker's local watermark only ever *lags* the splitter's eager
 watermark (it advances exclusively through parent-sourced messages, whose
 per-producer FIFO guarantees every guard candidate is enqueued before any
 watermark that passes it).  Lagging is always safe — it can only delay
@@ -68,7 +68,7 @@ from repro.core.nfa import compile_pattern
 from repro.core.patterns import Operator, Pattern
 from repro.core.policies import resolve_matches
 from repro.costmodel.model import CostParameters, LoadModel
-from repro.hypersonic.agent import AgentCore
+from repro.hypersonic.agent import AgentCore, guard_type_names
 from repro.hypersonic.items import ItemKind, WorkItem
 from repro.obs.tracer import Tracer
 from repro.simulator.metrics import SimResult
@@ -194,23 +194,6 @@ class _SpanLog:
         self._open = None
 
 
-def _guard_type_names(stages, stage_index: int, is_last: bool) -> frozenset:
-    """Guard event types agent ``stage_index - 1`` consumes (mirrors
-    :class:`AgentCore`'s derivation without building the agent)."""
-    names = {
-        guard.item.event_type.name
-        for guard in stages[stage_index - 1].guards_after
-        if not guard.trailing
-    }
-    if is_last:
-        names |= {
-            guard.item.event_type.name
-            for guard in stages[stage_index].guards_after
-            if guard.trailing
-        }
-    return frozenset(names)
-
-
 # --------------------------------------------------------------------- #
 # Worker process                                                         #
 # --------------------------------------------------------------------- #
@@ -275,10 +258,6 @@ def _run_worker(spec: _WorkerSpec, inbox, downstream, results) -> None:
     clock = time.monotonic
 
     def dispatch(local: int, receipt) -> None:
-        for _partial in receipt.emitted_self:
-            raise EngineError(
-                "unexpected self-loop emission; Kleene growth is inline"
-            )
         if not receipt.emitted_down:
             return
         global_index = spec.agent_lo + local
@@ -397,9 +376,9 @@ def _run_worker(spec: _WorkerSpec, inbox, downstream, results) -> None:
         if message is not None:
             handle(message)
         # Transfer the whole pending inbox BEFORE any watermark-dependent
-        # decision — the same discipline as the threads engine keeps the
-        # negation quarantine sound (every striking guard routed before a
-        # watermark value is already queued when that value is observed).
+        # decision: this keeps the negation quarantine sound (every
+        # striking guard routed before a watermark value is already queued
+        # when that value is observed).
         while True:
             try:
                 pending = inbox.get_nowait()
@@ -612,7 +591,7 @@ class ProcsPipelineEngine:
             routes.setdefault(stage.event_type_name, []).append(
                 (_EVENT, proc, local)
             )
-            guard_types = _guard_type_names(
+            guard_types = guard_type_names(
                 stages, global_index + 1,
                 global_index == self.num_agents - 1,
             )

@@ -40,9 +40,9 @@ from repro.core.matches import Match
 from repro.core.patterns import Pattern
 from repro.core.policies import resolve_matches
 from repro.costmodel.model import CostParameters, WorkloadStatistics
-from repro.hypersonic.agent import AgentCore
 from repro.hypersonic.buffers import BufferSnapshot
 from repro.hypersonic.engine import HypersonicConfig, HypersonicEngine
+from repro.hypersonic.fusion import FusedAgentCore
 from repro.hypersonic.items import ItemKind, Receipt, WorkItem
 from repro.obs.slo import SloEngine, SloSpec
 from repro.obs.tracer import Tracer
@@ -175,12 +175,10 @@ class HypersonicSimulation:
         engine.build()
         if self.knobs.batch_size > 1:
             # Compile vectorized stage kernels where the conditions allow;
-            # agents without one (Kleene, fused, arbitrary predicates) keep
-            # the scalar path even inside a batch.
+            # agents without one (Kleene, arbitrary predicates) keep the
+            # scalar path even inside a batch.
             for agent in engine.agents:
-                enable = getattr(agent, "enable_vector_mode", None)
-                if enable is not None:
-                    enable()
+                agent.enable_vector_mode()
         if self.shed_bound > 0:
             self.shedder = self._build_shedder()
             engine.splitter.shedder = self.shedder
@@ -282,11 +280,13 @@ class HypersonicSimulation:
         consumers: dict[str, object] = {}
         for agent in engine.agents:
             guard_types |= set(agent.guard_type_names)
-            if isinstance(agent, AgentCore):
-                consumers[agent.stage.event_type_name] = agent
-            else:  # fused agent: two event inputs
-                consumers[agent.first.event_type_name] = agent
-                consumers[agent.second.event_type_name] = agent
+            # A fused agent's stage types map to the part consuming them.
+            parts = (
+                (agent.first, agent.second)
+                if isinstance(agent, FusedAgentCore) else (agent,)
+            )
+            for part in parts:
+                consumers[part.stage.event_type_name] = part
         return LoadShedder(
             bound=self.shed_bound,
             policy=self.shed_policy,
@@ -469,7 +469,7 @@ class HypersonicSimulation:
         batch_queue = None
         if (
             batch > 1
-            and getattr(agent, "vector_mode", False)
+            and agent.vector_mode
             and not agent.guard_q.has_ready(time)
         ):
             # Micro-batch: drain up to batch_size ready same-kind items in
@@ -481,7 +481,7 @@ class HypersonicSimulation:
             if selection.item.kind is ItemKind.EVENT:
                 batch_queue = agent.es
             elif selection.item.kind is ItemKind.EVENT2:
-                batch_queue = getattr(agent, "es2", None)
+                batch_queue = agent.es2
         if batch_queue is not None:
             while len(items) < batch:
                 follow = batch_queue.pop(time)
@@ -544,9 +544,6 @@ class HypersonicSimulation:
         engine = self.engine
         kernel = self.kernel
         position = agent.agent_index
-        for partial in receipt.emitted_self:
-            agent.ms.push(WorkItem(ItemKind.MATCH, partial), ready_at=done)
-            kernel.in_flight += 1
         if position + 1 < len(engine.agents):
             downstream = engine.agents[position + 1]
             for partial in receipt.emitted_down:

@@ -1,12 +1,13 @@
 """Regenerate the repo's golden files — single entry point.
 
-Three golden sets live under ``tests/data/``; run this after an
+The golden sets below live under ``tests/data/``; run this after an
 *intentional* change to the corresponding behaviour and review the diff
 before committing:
 
     PYTHONPATH=src:. python tests/make_sim_goldens.py               # all
     PYTHONPATH=src:. python tests/make_sim_goldens.py --which sim
     PYTHONPATH=src:. python tests/make_sim_goldens.py --which negation
+    PYTHONPATH=src:. python tests/make_sim_goldens.py --which fusion
     PYTHONPATH=src:. python tests/make_sim_goldens.py --which trace
     PYTHONPATH=src:. python tests/make_sim_goldens.py --which report
 
@@ -27,6 +28,10 @@ before committing:
   16) on two negation queries: trips Q_C3, whose guard sits between two
   positive items, and ``SEQ(A, B, !X)``, whose guard trails the pattern.
   It pins the guard-list scans and their virtual charges.
+* ``fusion`` — ``fusion_goldens.json``: the full SimResult of
+  ``hypersonic`` (agent-dynamic, batch 1 and 16) on ``SEQ(A, B, C, D)``
+  over the ``sim`` stream with stages 1 and 2 fused into one agent.  It
+  pins a fused agent's scans, purges and virtual charges.
 * ``trace`` — ``golden_chrome_trace.json``: the Chrome ``trace_event``
   export of the tiny traced workload (``tests/test_obs.tiny_trace``).  A
   diff means the exporter format or the simulator's traced behaviour
@@ -72,6 +77,13 @@ NEGATION_RUNS = {
     "hypersonic_b1": ("hypersonic", {"agent_dynamic": True}),
     "hypersonic_b16": ("hypersonic", {"agent_dynamic": True, "batch_size": 16}),
 }
+
+
+FUSION_GOLDEN_PATH = DATA_DIR / "fusion_goldens.json"
+FUSION_TYPES = ["A", "B", "C", "D"]
+FUSION_PAIRS = ((1, 2),)
+#: Fused simulator runs pinned: name -> extra simulate kwargs.
+FUSION_RUNS = {"hypersonic_b1": {}, "hypersonic_b16": {"batch_size": 16}}
 
 
 def golden_workload():
@@ -123,6 +135,18 @@ def run_negation(query: str, run: str):
     pattern, events = negation_queries()[query]
     strategy, kwargs = NEGATION_RUNS[run]
     return simulate(strategy, pattern, events, num_cores=NUM_CORES, **kwargs)
+
+
+def run_fusion(run: str):
+    from repro.core import Pattern
+    from repro.simulator import simulate
+
+    pattern = Pattern.sequence(FUSION_TYPES, window=PATTERN_WINDOW)
+    return simulate(
+        "hypersonic", pattern, golden_workload(), num_cores=NUM_CORES,
+        agent_dynamic=True, force_fusion_pairs=FUSION_PAIRS,
+        **FUSION_RUNS[run],
+    )
 
 
 def result_payload(result) -> dict:
@@ -221,6 +245,14 @@ def collect_negation() -> dict:
     return goldens
 
 
+def collect_fusion() -> dict:
+    goldens = {run: result_payload(run_fusion(run)) for run in FUSION_RUNS}
+    counts = {payload["matches"] for payload in goldens.values()}
+    if len(counts) != 1 or 0 in counts:
+        raise RuntimeError(f"fused runs disagree or found nothing: {counts}")
+    return goldens
+
+
 def _serialize(goldens: dict) -> str:
     return json.dumps(goldens, indent=1, sort_keys=True) + "\n"
 
@@ -257,6 +289,13 @@ def write_negation_goldens() -> None:
         _serialize(collect_negation()), encoding="utf-8"
     )
     print(f"wrote {NEGATION_GOLDEN_PATH}")
+
+
+def write_fusion_goldens() -> None:
+    FUSION_GOLDEN_PATH.write_text(
+        _serialize(collect_fusion()), encoding="utf-8"
+    )
+    print(f"wrote {FUSION_GOLDEN_PATH}")
 
 
 def write_trace_golden() -> None:
@@ -327,8 +366,8 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
         "--which",
-        choices=("sim", "trips", "negation", "trace", "report", "dashboard",
-                 "all"),
+        choices=("sim", "trips", "negation", "fusion", "trace", "report",
+                 "dashboard", "all"),
         default="all",
         help="which golden set to regenerate (default: all)",
     )
@@ -344,6 +383,8 @@ def main() -> None:
         write_trip_goldens()
     if which in ("negation", "all"):
         write_negation_goldens()
+    if which in ("fusion", "all"):
+        write_fusion_goldens()
     if which in ("trace", "all"):
         write_trace_golden()
     if which in ("report", "all"):

@@ -131,7 +131,6 @@ class TestKleeneInline:
         receipt = agent.process(seed(ev(A, 1)), unit_id=0)
         # Subsequences of {B2, B3}: (B2), (B3), (B2,B3).
         assert len(receipt.emitted_down) == 3
-        assert receipt.emitted_self == []  # inline growth, no loop-backs
 
     def test_future_events_extend_stored_tuples(self):
         pattern = Pattern.sequence(["A", "B", "C"], window=10.0, kleene=[1])

@@ -478,7 +478,10 @@ TIED_PATTERNS = {
     "trailing_guard": Pattern.sequence(["A", "B", "X"], window=3.0,
                                        negated=[2]),
     "kleene": Pattern.sequence(["A", "B", "C"], window=2.0, kleene=[1]),
+    "fused": Pattern.sequence(["A", "B", "C", "D"], window=3.0),
 }
+#: Stage pairs fused per pattern; the fused agent's parts are agent cores.
+FUSED_PAIRS = {"fused": ((1, 2),)}
 
 
 def tied_stream(seed: int) -> list[Event]:
@@ -502,7 +505,8 @@ def test_simulator_results_equal_full_scan_results(monkeypatch, name, seed,
 
     def run():
         result = simulate("hypersonic", pattern, events, num_cores=4,
-                          agent_dynamic=True, batch_size=batch)
+                          agent_dynamic=True, batch_size=batch,
+                          force_fusion_pairs=FUSED_PAIRS.get(name, ()))
         return json.loads(json.dumps(result_payload(result)))
 
     indexed = run()

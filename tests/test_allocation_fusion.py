@@ -169,12 +169,12 @@ class TestFusedAgentCore:
 class TestBuildAgent:
     def test_single_stage_builds_agent_core(self):
         nfa = compile_pattern(Pattern.sequence(["A", "B", "C"], window=2.0))
-        agent = build_agent((1,), 0, nfa, lambda: 0.0, False, None)
+        agent = build_agent((1,), 0, nfa, lambda: 0.0, False)
         assert type(agent).__name__ == "AgentCore"
 
     def test_pair_builds_fused(self):
         nfa = compile_pattern(
             Pattern.sequence(["A", "B", "C", "D"], window=2.0)
         )
-        agent = build_agent((1, 2), 0, nfa, lambda: 0.0, False, None)
+        agent = build_agent((1, 2), 0, nfa, lambda: 0.0, False)
         assert isinstance(agent, FusedAgentCore)

@@ -9,7 +9,8 @@ scanning them whole, which is exact only while
   partial-match timestamp.
 
 These tests wrap the agent's entry points and check all three after every
-call, on every engine built on the agent core.  They check order only,
+call, on every engine built on the agent core, fused agents' parts
+included.  They check order only,
 not match sets (the differential grid and the goldens do that).
 """
 
@@ -120,6 +121,25 @@ def test_simulator_keeps_buffers_ordered(checked, case, batch):
     simulate("hypersonic", pattern, events, num_cores=8, agent_dynamic=True,
              batch_size=batch)
     assert checked[0].value > 0
+
+
+@pytest.mark.parametrize("batch", [1, 16])
+def test_simulator_keeps_fused_buffers_ordered(checked, monkeypatch, batch):
+    """A fused agent's two parts are agent cores too, and its second part
+    stores the partials the first emits in emission order."""
+    stages = set()
+    process = AgentCore.process
+
+    def noting(self, item, unit_id):
+        stages.add(self.stage_index)
+        return process(self, item, unit_id)
+
+    monkeypatch.setattr(AgentCore, "process", noting)
+    pattern, events = CASES["stocks_q_a1"]()
+    simulate("hypersonic", pattern, events, num_cores=8, agent_dynamic=True,
+             batch_size=batch, force_fusion_pairs=((1, 2),))
+    assert checked[0].value > 0
+    assert {1, 2} <= stages  # both parts of the fused agent were checked
 
 
 def test_downstream_fragments_get_marked_unordered(checked):

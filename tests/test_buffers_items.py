@@ -149,11 +149,10 @@ class TestWorkQueue:
 
 
 class TestReceipt:
-    def test_pushes_counts_both_streams(self):
+    def test_pushes_counts_emitted_matches(self):
         receipt = Receipt()
         pm = PartialMatch.of("a", ev(1.0))
-        receipt.emitted_down.append(pm)
-        receipt.emitted_self.append(pm)
+        receipt.emitted_down.extend([pm, pm])
         assert receipt.pushes == 2
 
     def test_note_fragment(self):
@@ -189,12 +188,16 @@ class TestBufferSnapshot:
 
 
 class TestItemKinds:
-    def test_event_timestamp_for_all_kinds(self):
+    def test_queue_event_time_for_all_kinds(self):
         event = ev(3.0)
         pm = PartialMatch.of("a", ev(1.0)).extended("b", ev(9.0))
-        assert WorkItem.event(event).event_timestamp == 3.0
-        assert WorkItem.guard(event).event_timestamp == 3.0
-        assert WorkItem.match(pm).event_timestamp == 1.0  # earliest
+        for item, expected in ((WorkItem.event(event), 3.0),
+                               (WorkItem.guard(event), 3.0),
+                               (WorkItem.match(pm), 1.0)):  # earliest
+            q = WorkQueue("q")
+            q.push(item)
+            assert q.head_event_time() == expected
+            assert q.min_event_time() == expected
 
     def test_kind_constructors(self):
         assert WorkItem.event(ev(0)).kind is ItemKind.EVENT

@@ -40,7 +40,7 @@ class TestGenerate:
 
 
 class TestDetect:
-    @pytest.mark.parametrize("engine", ["sequential", "hybrid", "threads"])
+    @pytest.mark.parametrize("engine", ["sequential", "hybrid"])
     def test_engines_run(self, stock_csv, capsys, engine):
         code = main([
             "detect", "stocks", str(stock_csv),

@@ -23,9 +23,14 @@ from repro.control import SHED_POLICIES, ControlPlane, LoadShedder, ReplanDecisi
 from repro.control.decisions import DECISION_KINDS
 from repro.core import Pattern
 from repro.core.events import Event, EventType
+from repro.core.matches import PartialMatch
 from repro.obs.drift import DriftEstimator
 from repro.core.errors import SimulationError
+from repro.hypersonic.engine import HypersonicConfig
+from repro.hypersonic.fusion import FusedAgentCore
+from repro.hypersonic.items import WorkItem
 from repro.simulator import simulate
+from repro.simulator.hypersonic_sim import HypersonicSimulation
 
 from tests.conftest import make_stream
 from tests.make_sim_goldens import (
@@ -190,20 +195,28 @@ class TestLoadShedder:
         shedder.note_backlog(5)
         assert not shedder.should_shed(_event("B"))
 
-    def test_fused_consumer_hot_via_mb1_mb2(self):
-        class FusedStub:
-            def __init__(self, items1: int, items2: int) -> None:
-                self.mb1 = _StubAgent._Buffer(items1)
-                self.mb2 = _StubAgent._Buffer(items2)
-                self.ms = []
-
-        shedder = LoadShedder(
-            bound=4, policy="pattern",
-            consumers={"B": FusedStub(0, 2), "C": FusedStub(0, 0)},
+    def test_fused_parts_are_hot_per_stage(self):
+        """A real fused agent: partials held only in MB2 protect the
+        second stage's type, and not the first's, whose events can never
+        extend them."""
+        pattern = Pattern.sequence(["A", "B", "C", "D"], window=6.0)
+        sim = HypersonicSimulation(
+            pattern, 4, config=HypersonicConfig(force_fusion_pairs=((1, 2),)),
+            shed_bound=4, shed_policy="pattern",
         )
+        sim.engine.ensure_statistics(make_stream(num_events=200, seed=1))
+        sim.engine.build()
+        fused = sim.engine.agents[0]
+        assert isinstance(fused, FusedAgentCore)
+        partial = PartialMatch.of("p1", _event("A", 1.0)).extended(
+            "p2", _event("B", 2.0)
+        )
+        fused.second.process(WorkItem.match(partial), unit_id=0)
+        assert fused.first.match_buffer.total_items() == 0
+        shedder = sim._build_shedder()
         shedder.note_backlog(5)
-        assert not shedder.should_shed(_event("B"))
-        assert shedder.should_shed(_event("C"))
+        assert not shedder.should_shed(_event("C", 3.0))
+        assert shedder.should_shed(_event("B", 3.0))
 
     def test_critical_ceiling_sheds_even_hot_events(self):
         shedder = LoadShedder(

@@ -23,7 +23,7 @@ from repro.baselines import (
 )
 from repro.core import Pattern
 from repro.costmodel import CostParameters, fit_from_trace
-from repro.hypersonic.engine import HypersonicConfig
+from repro.hypersonic.engine import HypersonicConfig, HypersonicEngine
 from repro.obs import TraceRecorder
 from repro.simulator import STRATEGIES, simulate
 from repro.simulator.hypersonic_sim import HypersonicSimulation
@@ -165,6 +165,43 @@ def test_fused_batched_matches_scalar_oracle(pattern, seed, batch_size):
     )
     sim.run(events)
     assert {match.key for match in sim.matches} == expected
+
+
+#: Fused cells beyond the two above: name -> (pattern, stream seed, pairs).
+FUSED_CELLS = {
+    # ES1 and ES2 share type B: the item kind says which part an event is
+    # for.
+    "abbc_fuse_1_2": (Pattern.sequence(["A", "B", "B", "C"], window=6.0), 0,
+                      ((1, 2),)),
+    # The fused agent is the last of two.
+    "abcd_fuse_2_3_last": (Pattern.sequence(["A", "B", "C", "D"], window=6.0),
+                           5, ((2, 3),)),
+    # A negation guard after the pair, enforced by the next agent.
+    "abcxd_fuse_1_2_guard_after": (
+        Pattern.sequence(["A", "B", "C", "X", "D"], window=6.0, negated=[3]),
+        11, ((1, 2),),
+    ),
+}
+
+
+@pytest.mark.parametrize("batch_size", [1, 16])
+@pytest.mark.parametrize("cell", sorted(FUSED_CELLS))
+def test_fused_pairs_match_reference(cell, batch_size):
+    """Fused agents built from two agent cores, through the simulator and
+    the hybrid driver: the reference match-key set, and a fused agent
+    really built."""
+    pattern, seed, pairs = FUSED_CELLS[cell]
+    events = workload(seed)
+    expected = reference_keys(pattern, events)
+    config = HypersonicConfig(force_fusion_pairs=pairs, agent_dynamic=True)
+    sim = HypersonicSimulation(
+        pattern, NUM_UNITS, config=config, batch_size=batch_size
+    )
+    sim.run(events)
+    assert sim.engine.fusion_plan.fused_groups()
+    assert {match.key for match in sim.matches} == expected
+    engine = HypersonicEngine(pattern, NUM_UNITS, config=config)
+    assert {match.key for match in engine.run(events)} == expected
 
 
 @pytest.mark.parametrize("pattern,seed", WORKLOADS)

@@ -18,6 +18,8 @@ from repro.datasets import load_stream, save_stream, stream_source
 from repro.simulator import STRATEGIES, simulate
 
 from tests.make_sim_goldens import (
+    FUSION_GOLDEN_PATH,
+    FUSION_RUNS,
     GOLDEN_PATH,
     NEGATION_GOLDEN_PATH,
     NEGATION_RUNS,
@@ -27,6 +29,7 @@ from tests.make_sim_goldens import (
     golden_workload,
     negation_queries,
     result_payload,
+    run_fusion,
     run_negation,
     trip_pattern,
     trip_workload,
@@ -88,6 +91,15 @@ def test_negation_results_bit_identical(query, run):
     so the guard-list scans and their virtual charges are pinned."""
     goldens = json.loads(NEGATION_GOLDEN_PATH.read_text())
     assert _roundtrip(run_negation(query, run)) == goldens[query][run]
+
+
+@pytest.mark.parametrize("run", sorted(FUSION_RUNS))
+def test_fusion_results_bit_identical(run):
+    """A fused agent through the simulator (``fusion_goldens.json``):
+    ``SEQ(A, B, C, D)`` with stages 1 and 2 fused, so the fused agent's
+    scans, purges and virtual charges are pinned."""
+    goldens = json.loads(FUSION_GOLDEN_PATH.read_text())
+    assert _roundtrip(run_fusion(run)) == goldens[run]
 
 
 def test_measure_latency_bit_identical(goldens, pattern):
