@@ -16,25 +16,9 @@ from repro.bench.harness import (
     stock_events,
     trip_events,
 )
-from repro.bench.regression import (
-    DEFAULT_THRESHOLD,
-    compare_snapshots,
-    format_snapshot,
-    latest_snapshot,
-    run_bench,
-    validate_snapshot,
-    write_snapshot,
-)
-from repro.bench.reporting import format_result_rows, format_series_table
+from repro.bench.reporting import format_series_table
 
 __all__ = [
-    "DEFAULT_THRESHOLD",
-    "compare_snapshots",
-    "format_snapshot",
-    "latest_snapshot",
-    "run_bench",
-    "validate_snapshot",
-    "write_snapshot",
     "COMPARED_STRATEGIES",
     "DEFAULT_SCALE",
     "BenchScale",
@@ -49,6 +33,5 @@ __all__ = [
     "skewed_stock_events",
     "stock_events",
     "trip_events",
-    "format_result_rows",
     "format_series_table",
 ]

@@ -309,7 +309,6 @@ def compare_strategies(
     strategies: Sequence[str] = COMPARED_STRATEGIES,
     scale: BenchScale = DEFAULT_SCALE,
     tracer_factory: Callable[[str], Tracer] | None = None,
-    tuned_parameters: CostParameters | None = None,
     **simulate_kwargs,
 ) -> dict[str, SimResult]:
     """Simulate every strategy on one workload under the shared models.
@@ -325,33 +324,20 @@ def compare_strategies(
     ``lambda name: TraceRecorder()``.  Each result then carries its
     per-agent summary in ``extra["obs"]``, and the recorder instances can
     be kept (e.g. in a dict) for full trace export.
-
-    ``tuned_parameters`` is the auto-tuning hook: when given (e.g. from
-    :func:`repro.costmodel.fitting.autotune`), an extra
-    ``"hypersonic_tuned"`` row is measured — the hypersonic strategy
-    planned with the tuned cost model while the virtual clock keeps the
-    shared world costs — so benchmarks record tuned-vs-default
-    trajectories.  The row participates in the match-set agreement check:
-    tuning must never change *which* matches are found.
     """
     cache = simulate_kwargs.pop("cache", default_cache())
     costs = simulate_kwargs.pop("costs", default_costs())
     events = _replayable(events)
-    runs = [(strategy, strategy, None) for strategy in strategies]
-    if tuned_parameters is not None:
-        runs.append(("hypersonic_tuned", "hypersonic", tuned_parameters))
     results: dict[str, SimResult] = {}
-    for label, strategy, model_costs in runs:
+    for strategy in strategies:
         kwargs = dict(simulate_kwargs)
         if strategy == "hypersonic":
             kwargs.setdefault("agent_dynamic", True)
         if strategy == "rip":
             kwargs.setdefault("chunk_size", scale.chunk_size)
-        if model_costs is not None:
-            kwargs["model_costs"] = model_costs
         if tracer_factory is not None:
-            kwargs["tracer"] = tracer_factory(label)
-        results[label] = simulate(
+            kwargs["tracer"] = tracer_factory(strategy)
+        results[strategy] = simulate(
             strategy,
             pattern,
             events,

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Mapping, Sequence
 
-__all__ = ["format_series_table", "format_result_rows"]
+__all__ = ["format_series_table"]
 
 
 def _format_value(value: float, digits: int = 3) -> str:
@@ -56,16 +56,3 @@ def format_series_table(
             )
     return "\n".join(lines)
 
-
-def format_result_rows(results: Mapping[str, object]) -> str:
-    """One-line-per-strategy dump of SimResult summaries (debug helper)."""
-    lines = []
-    for name, result in results.items():
-        lines.append(
-            f"{name:12s} thr={result.throughput:10.4f} "
-            f"lat={result.avg_latency:10.1f} "
-            f"p95={result.p95_latency:10.1f} "
-            f"mem={result.peak_memory_bytes:9d} "
-            f"matches={result.matches}"
-        )
-    return "\n".join(lines)

@@ -1,6 +1,6 @@
 """Command-line interface: ``python -m repro <command>``.
 
-Five subcommands cover the library's main entry points without writing
+Six subcommands cover the library's main entry points without writing
 code:
 
 ``generate``
@@ -24,11 +24,6 @@ code:
     (:mod:`repro.obs.dashboard`): live playback on a TTY, deterministic
     frame dumps with ``--no-tty`` / ``--final`` / ``--frame`` for CI and
     golden-pinning.  The live counterpart is ``simulate --dashboard``.
-
-``bench``
-    Run the pinned-seed benchmark scenarios; ``--record`` appends a
-    ``BENCH_<date>.json`` snapshot to the regression trajectory and
-    compares it against the newest previous one.
 
 ``autotune``
     Closed-loop cost-model calibration: run a traced simulation, fit the
@@ -358,33 +353,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "(default: derived from the file name)")
     watch.add_argument("--out", metavar="PATH", default=None,
                        help="also write the last rendered frame to PATH")
-
-    bench = commands.add_parser(
-        "bench", help="run the pinned benchmark scenarios"
-    )
-    bench.add_argument("--record", action="store_true",
-                       help="write a BENCH_<date>.json snapshot")
-    bench.add_argument("--quick", action="store_true",
-                       help="reduced scale for CI smoke runs")
-    bench.add_argument("--dir", default=".",
-                       help="trajectory directory (default: cwd)")
-    bench.add_argument("--seed", type=int, default=42)
-    bench.add_argument("--threshold", type=float, default=None,
-                       help="relative throughput drop that fails (0.15)")
-    bench.add_argument("--warn-only", action="store_true",
-                       help="report regressions without failing")
-    bench.add_argument("--metrics-out", metavar="PATH", default=None,
-                       help="export bench metrics (Prometheus text / .json)")
-    bench.add_argument("--tune", action="store_true",
-                       help="also record an autotuned hypersonic row per "
-                            "scenario (tuned-vs-default trajectory)")
-    bench.add_argument("--dashboard", action="store_true",
-                       help="print the dashboards of every benched run "
-                            "after the comparison table, tiled side by "
-                            "side per scenario")
-    bench.add_argument("--tile-width", type=int, default=None,
-                       help="total width of a dashboard tile row "
-                            "(default: terminal width)")
 
     tune = commands.add_parser(
         "autotune",
@@ -1067,156 +1035,6 @@ def _command_watch(args) -> int:
     return 0
 
 
-#: Bench run-label prefixes that name a scenario; anything unprefixed is
-#: a fig7 throughput run (labels are assigned by ``run_bench``).
-_BENCH_TILE_GROUPS = (
-    "sensors", "batched", "skewed", "shifted", "adapt", "frontier", "paced"
-)
-
-
-def _print_dashboard_tiles(boards: dict, tile_width: int | None) -> None:
-    """One row of side-by-side dashboard tiles per bench scenario."""
-    import shutil
-
-    from repro.obs import tile_frames
-
-    if tile_width is None:
-        tile_width = shutil.get_terminal_size((160, 24)).columns
-    groups: dict[str, list[tuple[str, str]]] = {}
-    for name, board in boards.items():
-        prefix, _, rest = name.partition("_")
-        if prefix in _BENCH_TILE_GROUPS and rest:
-            groups.setdefault(prefix, []).append((rest, board.final_frame()))
-        else:
-            groups.setdefault("fig7", []).append((name, board.final_frame()))
-    for group, tiles in groups.items():
-        labels = ", ".join(label for label, _ in tiles)
-        print(f"\n-- dashboard ({group}: {labels}) --")
-        print(tile_frames(
-            [frame for _, frame in tiles], width=tile_width
-        ))
-
-
-def _command_bench(args) -> int:
-    from repro.bench.regression import (
-        DEFAULT_THRESHOLD,
-        compare_snapshots,
-        format_snapshot,
-        latest_snapshot,
-        run_bench,
-        write_snapshot,
-    )
-
-    registry = None
-    if args.metrics_out:
-        from repro.obs import MetricsRegistry
-
-        _check_parent_dir(args.metrics_out, "--metrics-out")
-        registry = MetricsRegistry()
-
-    tuned = None
-    if args.tune:
-        from repro.bench.harness import (
-            BenchScale,
-            DEFAULT_SCALE,
-            build_query,
-            default_cache,
-            default_costs,
-            stock_events,
-        )
-        from repro.costmodel.fitting import autotune
-
-        scale = BenchScale(
-            num_events=800 if args.quick else DEFAULT_SCALE.num_events,
-            seed=args.seed,
-        )
-        cores = 4 if args.quick else scale.base_cores
-        length = 3 if args.quick else scale.base_length
-        events = stock_events(scale)
-        spec = build_query(
-            "stocks", "seq", length, scale.base_window, events, scale
-        )
-        tune_result = autotune(
-            spec.pattern, events, num_cores=cores,
-            costs=default_costs(), cache=default_cache(),
-            seed=args.seed, agent_dynamic=True,
-        )
-        tuned = tune_result.tuned
-        print(
-            f"autotune: mean |rel err| "
-            f"{tune_result.initial_error:.4f} -> "
-            f"{tune_result.final_error:.4f} over "
-            f"{len(tune_result.rounds)} round(s)\n"
-        )
-
-    boards: dict[str, object] = {}
-    if args.dashboard:
-        from repro.obs import DashboardTracer, TraceRecorder
-
-        def tracer_factory(name: str):
-            board = DashboardTracer(
-                inner=TraceRecorder(), strategy=name
-            )
-            boards[name] = board
-            return board
-    else:
-        tracer_factory = None
-
-    snapshot = run_bench(
-        quick=args.quick, seed=args.seed, registry=registry,
-        tuned_parameters=tuned, tracer_factory=tracer_factory,
-    )
-    print(format_snapshot(snapshot))
-    if boards:
-        _print_dashboard_tiles(boards, args.tile_width)
-    if registry is not None:
-        _write_metrics(args.metrics_out, registry)
-        print(f"\nmetrics: {args.metrics_out}")
-
-    written = None
-    if args.record:
-        written = write_snapshot(snapshot, args.dir)
-        print(f"\nsnapshot: {written}")
-    previous_path = latest_snapshot(args.dir, exclude=written)
-    if previous_path is None:
-        print("no previous snapshot; nothing to compare")
-        return 0
-    import json as _json
-
-    with open(previous_path, "r", encoding="utf-8") as handle:
-        previous = _json.load(handle)
-    threshold = (
-        args.threshold if args.threshold is not None else DEFAULT_THRESHOLD
-    )
-    report = compare_snapshots(previous, snapshot, threshold=threshold)
-    print(f"\ncompared against {previous_path} "
-          f"({report['compared']} cells, threshold {threshold:.0%})")
-    for skip in report["skipped"]:
-        print(f"  skipped: {skip}")
-    for entry in report["improvements"]:
-        print(
-            f"  improved: {entry['scenario']}/{entry['strategy']} "
-            f"{entry['metric']} {entry['old']:.4f} -> {entry['new']:.4f} "
-            f"({entry['change']:+.1%})"
-        )
-    for entry in report["regressions"]:
-        change = (
-            f" ({entry['change']:+.1%})" if entry["change"] is not None else ""
-        )
-        print(
-            f"  REGRESSION: {entry['scenario']}/{entry['strategy']} "
-            f"{entry['metric']} {entry['old']} -> {entry['new']}{change}"
-        )
-    if not report["ok"]:
-        if args.warn_only:
-            print("regressions found (warn-only mode; not failing)")
-            return 0
-        print("regression check FAILED")
-        return 1
-    print("regression check passed")
-    return 0
-
-
 def _parse_costs(spec: str | None, flag: str):
     """``lock=2.4,comparison=1.0`` -> CostParameters over the defaults."""
     from repro.costmodel import CostParameters
@@ -1333,7 +1151,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         "simulate": _command_simulate,
         "obs-report": _command_obs_report,
         "watch": _command_watch,
-        "bench": _command_bench,
         "autotune": _command_autotune,
     }
     try:

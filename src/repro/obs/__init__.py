@@ -67,7 +67,6 @@ from repro.obs.dashboard import (
     final_frame,
     render_frame,
     replay_frames,
-    tile_frames,
 )
 
 __all__ = [
@@ -106,5 +105,4 @@ __all__ = [
     "final_frame",
     "render_frame",
     "replay_frames",
-    "tile_frames",
 ]

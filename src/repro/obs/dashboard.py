@@ -25,8 +25,7 @@ a terminal:
 
 Entry points: ``repro simulate --dashboard`` (live),
 ``repro watch trace.jsonl [--fps N | --frame K | --final]`` (replay), and
-the ``tracer_factory`` hooks of :mod:`repro.bench.harness` /
-:func:`repro.bench.regression.run_bench`.
+the ``tracer_factory`` hooks of :mod:`repro.bench.harness`.
 """
 
 from __future__ import annotations
@@ -47,7 +46,6 @@ __all__ = [
     "render_frame",
     "replay_frames",
     "final_frame",
-    "tile_frames",
     "Dashboard",
     "DashboardTracer",
 ]
@@ -611,39 +609,6 @@ def final_frame(trace: "Iterable[TraceEvent]", *,
     for event in _events_of(trace):
         state.observe(event)
     return render_frame(state.snapshot(), state.plan, width, height)
-
-
-def tile_frames(frames: "Sequence[str]", *, width: int = DEFAULT_WIDTH,
-                gap: int = 2) -> str:
-    """Compose several rendered frames side by side into one text block.
-
-    Each frame gets an equal column of ``(width - gaps) // n`` characters;
-    frames are re-clipped to that column and padded line by line, so the
-    result is a rectangular block at most *width* characters wide.  Pure
-    and deterministic like :func:`render_frame` — ``bench --dashboard``
-    uses it to show one tile per benched strategy.
-    """
-    frames = [frame for frame in frames if frame]
-    if not frames:
-        return ""
-    if len(frames) == 1:
-        return frames[0]
-    if width < 1:
-        raise ValueError(f"width must be >= 1, got {width}")
-    gap = max(0, gap)
-    sep = " " * max(0, gap - 1) + "|" + " " * max(0, gap - 1) if gap else "|"
-    budget = width - len(sep) * (len(frames) - 1)
-    column = max(8, budget // len(frames))
-    split = [frame.splitlines() for frame in frames]
-    rows = max(len(lines) for lines in split)
-    out = []
-    for row in range(rows):
-        cells = [
-            (lines[row] if row < len(lines) else "")[:column].ljust(column)
-            for lines in split
-        ]
-        out.append(sep.join(cells).rstrip())
-    return "\n".join(out)
 
 
 # --------------------------------------------------------------------- #

@@ -8,6 +8,7 @@ before committing:
     PYTHONPATH=src:. python tests/make_sim_goldens.py --which sim
     PYTHONPATH=src:. python tests/make_sim_goldens.py --which negation
     PYTHONPATH=src:. python tests/make_sim_goldens.py --which fusion
+    PYTHONPATH=src:. python tests/make_sim_goldens.py --which bench
     PYTHONPATH=src:. python tests/make_sim_goldens.py --which trace
     PYTHONPATH=src:. python tests/make_sim_goldens.py --which report
 
@@ -32,6 +33,15 @@ before committing:
   ``hypersonic`` (agent-dynamic, batch 1 and 16) on ``SEQ(A, B, C, D)``
   over the ``sim`` stream with stages 1 and 2 fused into one agent.  It
   pins a fused agent's scans, purges and virtual charges.
+* ``bench`` — ``bench_goldens.json``: the nine virtual bench scenarios
+  at 800 events on 4 cores (:func:`bench_scenario`): the Figure 7
+  strategy grid on the stock, sensor, skewed, regime-shifted and
+  trip-chain Kleene streams, scalar against batch-64 hypersonic, static
+  against adaptive shedding under overload, the shed-bound frontier, and
+  the Figure 8 paced latency pass.  Each of the 38 cells is a traced
+  run's full SimResult plus, where the run has an allocation plan, its
+  calibration error and verdict; each scenario keeps its paces, shed
+  bounds and Kleene binding lengths.
 * ``trace`` — ``golden_chrome_trace.json``: the Chrome ``trace_event``
   export of the tiny traced workload (``tests/test_obs.tiny_trace``).  A
   diff means the exporter format or the simulator's traced behaviour
@@ -84,6 +94,32 @@ FUSION_TYPES = ["A", "B", "C", "D"]
 FUSION_PAIRS = ((1, 2),)
 #: Fused simulator runs pinned: name -> extra simulate kwargs.
 FUSION_RUNS = {"hypersonic_b1": {}, "hypersonic_b16": {"batch_size": 16}}
+
+BENCH_GOLDEN_PATH = DATA_DIR / "bench_goldens.json"
+#: Scale of the bench scenarios: 800 events (the trip stream is sized
+#: off the same budget) on 4 cores, length-3 queries, seed 42.
+BENCH_EVENTS = 800
+BENCH_CORES = 4
+BENCH_LENGTH = 3
+BENCH_SEED = 42
+BENCH_SCENARIOS = (
+    "fig7_throughput", "sensors_throughput", "kleene_throughput",
+    "batched_throughput", "skewed_throughput", "shifted_throughput",
+    "adaptation_recall", "recall_latency_frontier", "fig8_latency",
+)
+#: Micro-batch size of the batched row of ``batched_throughput``.
+BENCH_BATCH_SIZE = 64
+#: Window of the trip-chain Kleene query, about one rental cycle.
+BENCH_TRIP_WINDOW = 4.0
+#: ``fig8_latency`` paces every strategy at this share of HYPERSONIC's
+#: measured capacity.
+BENCH_LATENCY_LOAD = 0.7
+#: The overload scenarios pace a 4-phase bursty stream at this multiple
+#: of capacity, with shed bounds given per core.
+BENCH_ADAPT_LOAD = 1.6
+BENCH_ADAPT_PHASES = 4
+BENCH_ADAPT_BOUND_PER_CORE = 2
+BENCH_FRONTIER_BOUNDS_PER_CORE = (1, 2, 4, 8)
 
 
 def golden_workload():
@@ -253,6 +289,154 @@ def collect_fusion() -> dict:
     return goldens
 
 
+def _bench_cell(result) -> dict:
+    """A bench cell: the run's payload, plus the cost-model calibration
+    error and verdict when the traced run has a plan to check."""
+    cell = result_payload(result)
+    calibration = result.extra.get("obs", {}).get("calibration")
+    if calibration is not None:
+        cell["calibration_error"] = calibration["mean_abs_relative_error"]
+        cell["calibration_verdict"] = calibration["verdict"]
+    return cell
+
+
+def bench_scenario(name: str) -> dict:
+    """One bench scenario: its metadata and a traced cell per run.
+
+    The throughput scenarios race the Figure 7 strategies through
+    ``compare_strategies``, which raises unless they agree on the match
+    count.  The overload scenarios shed input, so they call ``simulate``
+    directly.
+    """
+    from repro.bench.harness import (
+        BenchScale,
+        build_query,
+        bursty_stock_events,
+        compare_strategies,
+        default_cache,
+        default_costs,
+        sensor_events,
+        shifted_stock_events,
+        skewed_stock_events,
+        stock_events,
+        trip_events,
+    )
+    from repro.engine import detect
+    from repro.obs import TraceRecorder
+    from repro.simulator import simulate
+
+    scale = BenchScale(num_events=BENCH_EVENTS, seed=BENCH_SEED)
+    meta = {"events": scale.num_events, "cores": BENCH_CORES,
+            "window": scale.base_window, "length": BENCH_LENGTH}
+
+    def query(dataset, events, template="seq", window=scale.base_window):
+        return build_query(
+            dataset, template, BENCH_LENGTH, window, events, scale
+        ).pattern
+
+    def grid(pattern, events):
+        return compare_strategies(
+            pattern, events, cores=BENCH_CORES, scale=scale,
+            tracer_factory=lambda label: TraceRecorder(), seed=BENCH_SEED,
+        )
+
+    def run(strategy, pattern, events, **kwargs):
+        return simulate(
+            strategy, pattern, events, num_cores=BENCH_CORES,
+            seed=BENCH_SEED, tracer=TraceRecorder(), **kwargs,
+        )
+
+    def hypersonic(pattern, events, **kwargs):
+        return run("hypersonic", pattern, events, cache=default_cache(),
+                   costs=default_costs(), agent_dynamic=True, **kwargs)
+
+    variants = {
+        "fig7_throughput": ({}, stock_events),
+        "sensors_throughput": ({"dataset": "sensors"}, sensor_events),
+        "skewed_throughput": ({"variant": "skewed"}, skewed_stock_events),
+        "shifted_throughput": ({"variant": "shifted"}, shifted_stock_events),
+    }
+    if name in variants:
+        details, source = variants[name]
+        events = source(scale)
+        results = grid(query(details.get("dataset", "stocks"), events), events)
+    elif name == "kleene_throughput":
+        events = trip_events(scale)
+        pattern = query("trips", events, "kleene", BENCH_TRIP_WINDOW)
+        closure = next(item.name for item in pattern.items if item.is_kleene)
+        lengths: dict[str, int] = {}
+        for match in detect(pattern, events):
+            key = str(len(match.binding[closure]))
+            lengths[key] = lengths.get(key, 0) + 1
+        details = {"events": len(events), "window": BENCH_TRIP_WINDOW,
+                 "dataset": "trips", "template": "kleene",
+                 "kleene_lengths": lengths}
+        results = grid(pattern, events)
+    elif name == "batched_throughput":
+        events = stock_events(scale)
+        pattern = query("stocks", events)
+        details = {"batch_size": BENCH_BATCH_SIZE}
+        results = {
+            label: hypersonic(pattern, events, batch_size=batch_size)
+            for label, batch_size in (
+                ("hypersonic", 1), ("hypersonic_batched", BENCH_BATCH_SIZE),
+            )
+        }
+    elif name in ("adaptation_recall", "recall_latency_frontier"):
+        events = bursty_stock_events(scale, num_phases=BENCH_ADAPT_PHASES)
+        pattern = query("stocks", events)
+        reference = hypersonic(pattern, events)
+        pace = 1.0 / max(BENCH_ADAPT_LOAD * reference.throughput, 1e-12)
+        details = {"events": len(events), "pace": pace,
+                 "load": BENCH_ADAPT_LOAD, "phases": BENCH_ADAPT_PHASES,
+                 "reference_matches": reference.matches}
+        if name == "adaptation_recall":
+            bound = BENCH_ADAPT_BOUND_PER_CORE * BENCH_CORES
+            details["shed_bound"] = bound
+            results = {"reference": reference}
+            for label, adapt, policy in (("static_shed", "off", "tail"),
+                                         ("adaptive", "on", "pattern")):
+                results[label] = hypersonic(
+                    pattern, events, pace=pace, adapt=adapt,
+                    shed_bound=bound, shed_policy=policy,
+                )
+        else:
+            bounds = [per_core * BENCH_CORES
+                      for per_core in BENCH_FRONTIER_BOUNDS_PER_CORE]
+            details["bounds"] = bounds
+            results = {
+                f"bound_{bound}": hypersonic(
+                    pattern, events, pace=pace, adapt="on",
+                    shed_bound=bound, shed_policy="pattern",
+                )
+                for bound in bounds
+            }
+    elif name == "fig8_latency":
+        # Paced at a share of the capacity fig7's hypersonic row measures,
+        # on the simulator's default cost and cache models.
+        events = stock_events(scale)
+        pattern = query("stocks", events)
+        capacity = hypersonic(pattern, events).throughput
+        pace = 1.0 / max(BENCH_LATENCY_LOAD * capacity, 1e-12)
+        details = {"pace": pace, "load": BENCH_LATENCY_LOAD}
+        results = {
+            "sequential": run("sequential", pattern, events, pace=pace),
+            "hypersonic": run("hypersonic", pattern, events, pace=pace,
+                              agent_dynamic=True),
+            "rip": run("rip", pattern, events, pace=pace,
+                       chunk_size=scale.chunk_size),
+            "llsf": run("llsf", pattern, events, pace=pace),
+        }
+    else:
+        raise ValueError(f"unknown bench scenario {name!r}")
+    cells = {label: _bench_cell(result) for label, result in results.items()}
+    return {**meta, **details, "cells": cells}
+
+
+def collect_bench() -> dict:
+    return {name: bench_scenario(name) for name in BENCH_SCENARIOS}
+
+
 def _serialize(goldens: dict) -> str:
     return json.dumps(goldens, indent=1, sort_keys=True) + "\n"
 
@@ -296,6 +480,13 @@ def write_fusion_goldens() -> None:
         _serialize(collect_fusion()), encoding="utf-8"
     )
     print(f"wrote {FUSION_GOLDEN_PATH}")
+
+
+def write_bench_goldens() -> None:
+    BENCH_GOLDEN_PATH.write_text(
+        _serialize(collect_bench()), encoding="utf-8"
+    )
+    print(f"wrote {BENCH_GOLDEN_PATH}")
 
 
 def write_trace_golden() -> None:
@@ -366,8 +557,8 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
         "--which",
-        choices=("sim", "trips", "negation", "fusion", "trace", "report",
-                 "dashboard", "all"),
+        choices=("sim", "trips", "negation", "fusion", "bench", "trace",
+                 "report", "dashboard", "all"),
         default="all",
         help="which golden set to regenerate (default: all)",
     )
@@ -385,6 +576,8 @@ def main() -> None:
         write_negation_goldens()
     if which in ("fusion", "all"):
         write_fusion_goldens()
+    if which in ("bench", "all"):
+        write_bench_goldens()
     if which in ("trace", "all"):
         write_trace_golden()
     if which in ("report", "all"):

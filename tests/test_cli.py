@@ -352,11 +352,3 @@ class TestSloCli:
             assert "trigger" in decision and "effect" in decision
         assert payload["slo"]["specs"][0]["spec"]["metric"] == "recall"
 
-
-class TestBenchTune:
-    def test_quick_bench_records_tuned_row(self, tmp_path, capsys):
-        code = main(["bench", "--quick", "--tune", "--dir", str(tmp_path)])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "autotune: mean |rel err|" in out
-        assert "hypersonic_tuned" in out

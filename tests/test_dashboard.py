@@ -501,52 +501,3 @@ class TestJsonlRoundTripStaysExact:
             for line in path.read_text(encoding="utf-8").splitlines()
         ]
 
-
-class TestTileFrames:
-    """Side-by-side composition used by ``bench --dashboard``."""
-
-    def test_empty_and_blank_frames_collapse(self):
-        from repro.obs import tile_frames
-
-        assert tile_frames([]) == ""
-        assert tile_frames(["", ""]) == ""
-
-    def test_single_frame_passes_through(self):
-        from repro.obs import tile_frames
-
-        frame = "line one\nline two"
-        assert tile_frames([frame]) == frame
-
-    def test_invalid_width_rejected(self):
-        from repro.obs import tile_frames
-
-        with pytest.raises(ValueError):
-            tile_frames(["a", "b"], width=0)
-
-    def test_two_frames_share_width_and_align_rows(self):
-        from repro.obs import tile_frames
-
-        left = "alpha\nbeta\ngamma"
-        right = "one"
-        block = tile_frames([left, right], width=40, gap=2)
-        lines = block.splitlines()
-        assert len(lines) == 3  # rectangular: tallest frame wins
-        assert all(len(line) <= 40 for line in lines)
-        assert "alpha" in lines[0] and "one" in lines[0]
-        # Shorter frame is padded with blank cells, not truncated rows.
-        assert "beta" in lines[1] and "gamma" in lines[2]
-        assert "|" in lines[0]  # visible tile separator
-
-    def test_long_lines_clipped_to_column(self):
-        from repro.obs import tile_frames
-
-        wide = "x" * 500
-        block = tile_frames([wide, wide, wide], width=60, gap=2)
-        for line in block.splitlines():
-            assert len(line) <= 60
-
-    def test_composition_is_deterministic(self):
-        from repro.obs import tile_frames
-
-        frames = [f"frame {i}\nrow" for i in range(4)]
-        assert tile_frames(frames, width=100) == tile_frames(frames, width=100)

@@ -348,6 +348,18 @@ class TestAutotuneEndToEnd:
         assert result.final_error <= result.initial_error
         assert result.rounds
 
+    def test_fit_within_tolerance_stops_after_one_round(self, seq_pattern):
+        events = make_stream(num_events=300, seed=11)
+        result = autotune(
+            seq_pattern, events, num_cores=4, costs=self.WORLD, seed=7,
+            tol=float("inf"),
+        )
+        # No fit can promise more than an infinite tolerance, so the
+        # loop stops after measuring the starting model.
+        assert result.converged
+        assert len(result.rounds) == 1
+        assert result.tuned == self.WORLD
+
     def test_explicit_model_start(self, seq_pattern):
         events = make_stream(num_events=300, seed=11)
         result = autotune(

@@ -21,6 +21,7 @@ from pathlib import Path
 import pytest
 
 from tests.conftest import make_stream, reference_matches
+from repro.bench.harness import BenchScale, build_query, stock_events
 from repro.core import Event, EventType, Pattern
 from repro.core.errors import EngineError, PatternError
 from repro.core.matches import Match, PartialMatch
@@ -58,6 +59,18 @@ def trip_case(num_trips: int = 120, seed: int = 4):
         num_trips=num_trips, num_bikes=6, seed=seed,
     ))
     return trip_sequence_query(40.0).pattern, events
+
+
+def bench_stock_case():
+    """The bench's stock stream at 2,000 events with its length-3 query:
+    enough matches that the parity check covers real forwarding load."""
+    scale = BenchScale(num_events=2000)
+    events = stock_events(scale)
+    return build_query("stocks", "seq", 3, 30.0, events, scale).pattern, events
+
+
+CASES = {"stocks": stock_case, "trips": trip_case,
+         "bench_stocks": bench_stock_case}
 
 
 # --------------------------------------------------------------------- #
@@ -190,7 +203,7 @@ class TestConstructorValidation:
 GRID = [
     pytest.param(case, batch, method,
                  id=f"{case}-batch{batch}-{method}")
-    for case in ("stocks", "trips")
+    for case in CASES
     for batch in (1, 16)
     for method in ("fork", "spawn")
 ]
@@ -199,14 +212,14 @@ GRID = [
 @pytest.mark.wallclock
 class TestDifferential:
     """Acceptance grid: the procs backend's match-key set is identical to
-    the sequential engine on stocks + trips, batch 1 and 16, under both
-    fork and spawn."""
+    the sequential engine on every case, batch 1 and 16, under both fork
+    and spawn."""
 
     @pytest.mark.parametrize("case,batch,method", GRID)
     def test_match_key_parity(self, case, batch, method):
         if method not in multiprocessing.get_all_start_methods():
             pytest.skip(f"start method {method} unavailable")
-        pattern, events = stock_case() if case == "stocks" else trip_case()
+        pattern, events = CASES[case]()
         want = {m.key for m in reference_matches(pattern, events)}
         engine = ProcsPipelineEngine(
             pattern, procs=2, batch_size=batch, start_method=method,
@@ -412,14 +425,4 @@ class TestRunnerIntegration:
         assert result.extra["backend"] == "procs"
         assert result.matches == len(
             reference_matches(pattern, events)
-        )
-
-    def test_wallclock_scenario_reports_parity(self):
-        from repro.bench.wallclock import run_wallclock
-
-        report = run_wallclock(num_events=800, procs=2)
-        assert report.match_parity
-        assert report.fitted_comm is None or (
-            report.fitted_comm["comm_event"] >= 0.0
-            and report.fitted_comm["comm_match"] >= 0.0
         )

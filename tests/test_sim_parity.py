@@ -5,7 +5,9 @@ goldens generated from the pre-refactor seed code
 (``tests/data/sim_goldens.json``, regenerated only deliberately via
 ``tests/make_sim_goldens.py``), and asserts that streaming inputs —
 generators and CSV sources — produce results identical to list inputs
-while keeping only a bounded number of events resident.
+while keeping only a bounded number of events resident.  The virtual
+bench scenarios are pinned the same way (``bench_goldens.json``), with
+their invariants asserted over the golden.
 """
 
 from __future__ import annotations
@@ -14,10 +16,13 @@ import json
 
 import pytest
 
+from repro.bench.harness import COMPARED_STRATEGIES
 from repro.datasets import load_stream, save_stream, stream_source
 from repro.simulator import STRATEGIES, simulate
 
 from tests.make_sim_goldens import (
+    BENCH_GOLDEN_PATH,
+    BENCH_SCENARIOS,
     FUSION_GOLDEN_PATH,
     FUSION_RUNS,
     GOLDEN_PATH,
@@ -25,6 +30,7 @@ from tests.make_sim_goldens import (
     NEGATION_RUNS,
     NUM_CORES,
     TRIP_GOLDEN_PATH,
+    bench_scenario,
     golden_pattern,
     golden_workload,
     negation_queries,
@@ -100,6 +106,105 @@ def test_fusion_results_bit_identical(run):
     scans, purges and virtual charges are pinned."""
     goldens = json.loads(FUSION_GOLDEN_PATH.read_text())
     assert _roundtrip(run_fusion(run)) == goldens[run]
+
+
+# --------------------------------------------------------------------- #
+# The virtual bench scenarios (bench_goldens.json)                       #
+# --------------------------------------------------------------------- #
+
+@pytest.fixture(scope="module")
+def bench_goldens() -> dict:
+    return json.loads(BENCH_GOLDEN_PATH.read_text())
+
+
+@pytest.mark.parametrize("scenario", BENCH_SCENARIOS)
+def test_bench_scenarios_bit_identical(bench_goldens, scenario):
+    """Each bench scenario re-runs to its golden: every cell's SimResult
+    and calibration verdict, and the scenario's paces and shed bounds."""
+    rerun = json.loads(json.dumps(bench_scenario(scenario)))
+    assert rerun == bench_goldens[scenario]
+
+
+def test_bench_goldens_layout(bench_goldens):
+    assert set(bench_goldens) == set(BENCH_SCENARIOS)
+    assert sum(len(s["cells"]) for s in bench_goldens.values()) == 38
+    # Hypersonic is calibrated against its own allocation plan; the
+    # sequential baseline has no plan to check.
+    fig7 = bench_goldens["fig7_throughput"]["cells"]
+    assert fig7["hypersonic"]["calibration_verdict"] in (
+        "calibrated", "drifted",
+    )
+    assert "calibration_error" not in fig7["sequential"]
+    fig8 = bench_goldens["fig8_latency"]
+    assert fig8["pace"] > 0
+    assert all(cell["avg_latency"] > 0 for cell in fig8["cells"].values())
+
+
+def _assert_strategies_agree(bench_goldens, *names):
+    for name in names:
+        cells = bench_goldens[name]["cells"]
+        assert set(cells) == set(COMPARED_STRATEGIES), name
+        assert len({cell["matches"] for cell in cells.values()}) == 1, name
+        assert all(cell["matches"] > 0 and cell["throughput"] > 0
+                   for cell in cells.values()), name
+
+
+def test_bench_throughput_scenarios_agree(bench_goldens):
+    _assert_strategies_agree(
+        bench_goldens, "fig7_throughput", "kleene_throughput",
+    )
+
+
+def test_bench_variant_scenarios_agree(bench_goldens):
+    assert bench_goldens["skewed_throughput"]["variant"] == "skewed"
+    assert bench_goldens["shifted_throughput"]["variant"] == "shifted"
+    _assert_strategies_agree(
+        bench_goldens, "skewed_throughput", "shifted_throughput",
+    )
+
+
+def test_bench_sensors_scenario_agrees(bench_goldens):
+    assert bench_goldens["sensors_throughput"]["dataset"] == "sensors"
+    _assert_strategies_agree(bench_goldens, "sensors_throughput")
+
+
+def test_bench_batched_matches_scalar(bench_goldens):
+    cells = bench_goldens["batched_throughput"]["cells"]
+    scalar, batched = cells["hypersonic"], cells["hypersonic_batched"]
+    assert batched["matches"] == scalar["matches"] > 0
+    # A virtual gain only: the model charges batched sweeps less.
+    assert batched["throughput"] > scalar["throughput"]
+
+
+def test_bench_adaptive_shedding_beats_static(bench_goldens):
+    adapt = bench_goldens["adaptation_recall"]
+    cells = adapt["cells"]
+    assert cells["reference"]["matches"] == adapt["reference_matches"] > 0
+    assert "shed" not in cells["reference"]["extra"]
+    # The overload really sheds, and the control plane's pattern-aware
+    # shedding keeps more matches than tail-drop at the same bound.
+    assert cells["static_shed"]["extra"]["shed"]["total"] > 0
+    assert cells["adaptive"]["matches"] > cells["static_shed"]["matches"]
+
+
+def test_bench_frontier_is_monotone(bench_goldens):
+    frontier = bench_goldens["recall_latency_frontier"]
+    bounds = frontier["bounds"]
+    assert bounds == sorted(bounds) and len(bounds) >= 3
+    cells = [frontier["cells"][f"bound_{bound}"] for bound in bounds]
+    matches = [cell["matches"] for cell in cells]
+    # Loosening the shed bound never loses matches; the tightest sheds.
+    assert matches == sorted(matches)
+    assert matches[-1] <= frontier["reference_matches"]
+    assert cells[0]["extra"]["shed"]["total"] > 0
+
+
+def test_bench_kleene_lengths_describe_the_matches(bench_goldens):
+    kleene = bench_goldens["kleene_throughput"]
+    lengths = kleene["kleene_lengths"]
+    assert sum(lengths.values()) == kleene["cells"]["sequential"]["matches"]
+    assert all(int(key) >= 1 and count > 0 for key, count in lengths.items())
+    assert max(int(key) for key in lengths) >= 3
 
 
 def test_measure_latency_bit_identical(goldens, pattern):
