@@ -46,13 +46,14 @@ Guarantees (property-tested in ``tests/test_fitting.py``):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from repro.costmodel.model import (
     LOAD_FEATURE_NAMES,
     CostParameters,
 )
+from repro.obs.analysis import _events_of
 from repro.obs.calibration import calibration_report
 from repro.obs.tracer import TraceEvent, TraceKind
 
@@ -394,8 +395,7 @@ def fit_from_trace(
     with feature rows — fusion plans, partition strategies, pre-feature
     traces) or no observed busy time.
     """
-    events = getattr(trace, "events", None)
-    events = list(events) if events is not None else list(trace)
+    events = _events_of(trace)
     report = calibration_report(events)
     if report is None:
         return None

@@ -1,11 +1,15 @@
 """Observability layer: tracing, analysis, metrics, and export.
 
 The simulators accept a :class:`Tracer`; the default :data:`NULL_TRACER`
-records nothing and costs one attribute check per hot-path site.  A
-:class:`TraceRecorder` collects typed :class:`TraceEvent` records against
-the virtual clock, which the exporters render as a Chrome ``trace_event``
-JSON file (openable in Perfetto / ``chrome://tracing``), a JSONL event
-log, or a per-agent/per-unit summary table.
+records nothing and costs one attribute check per hot-path site.  Every
+tracer hook builds one typed :class:`TraceEvent` and passes it to
+``Tracer.emit``, the one method a trace consumer defines.  A
+:class:`TraceRecorder` keeps the events against the virtual clock, which
+the exporters render as a Chrome ``trace_event`` JSON file (openable in
+Perfetto / ``chrome://tracing``), a JSONL event log, or a
+per-agent/per-unit summary table.  The live consumers —
+:class:`MetricsTracer` and :class:`DashboardTracer` — receive the same
+events and pass each one on to an inner recorder.
 
 On top of the raw trace sit the analysis passes:
 
@@ -17,10 +21,12 @@ On top of the raw trace sit the analysis passes:
 * :class:`MetricsRegistry` / :class:`MetricsTracer` — counters, gauges,
   and histograms with label support, exportable as JSON or Prometheus
   text exposition (:func:`prometheus_text`);
-* :class:`SloEngine` / :class:`SloTracer` / :func:`slo_report` —
-  declarative service-level objectives (:class:`SloSpec`) evaluated
-  online over sliding windows with error-budget burn accounting, or
-  byte-identically from a recorded trace;
+* :class:`SloEngine` / :func:`slo_report` — declarative service-level
+  objectives (:class:`SloSpec`) evaluated online by the simulator over
+  fixed windows with error-budget burn accounting, or byte-identically
+  from a recorded trace;
+* :class:`DriftEstimator` — the live predicted-vs-observed load-share
+  signal the runtime control plane re-plans on;
 * :func:`audit_report` — decision provenance: reconstructs, from the
   trace alone, the causal chain behind every control-plane
   ``ReplanDecision`` (trigger evidence, decision, before/after effect);
@@ -41,13 +47,12 @@ from repro.obs.export import (
 )
 from repro.obs.analysis import latency_breakdown, percentile
 from repro.obs.calibration import calibration_report
-from repro.obs.drift import DriftEstimator, DriftTracer
+from repro.obs.drift import DriftEstimator
 from repro.obs.slo import (
     DEFAULT_OBJECTIVE,
     SLO_METRICS,
     SloEngine,
     SloSpec,
-    SloTracer,
     slo_report,
 )
 from repro.obs.audit import audit_report
@@ -84,12 +89,10 @@ __all__ = [
     "percentile",
     "calibration_report",
     "DriftEstimator",
-    "DriftTracer",
     "DEFAULT_OBJECTIVE",
     "SLO_METRICS",
     "SloEngine",
     "SloSpec",
-    "SloTracer",
     "slo_report",
     "audit_report",
     "Counter",

@@ -11,14 +11,14 @@ a terminal:
   sequences: the same inputs yield byte-identical output, which is what
   lets CI golden-pin a frame and upload rendered frames as artifacts.
 * :class:`DashboardState` accumulates exactly the render-relevant facts
-  from trace events.  It is fed either **live** (the
-  :class:`DashboardTracer` hooks, repainting on the kernel's snapshot
-  cadence via :meth:`~repro.obs.tracer.Tracer.frame_tick`) or by
-  **replaying** a recorded JSONL trace (:func:`replay_frames` /
-  :func:`final_frame` over :func:`repro.obs.export.read_jsonl` events).
-  Both paths run the same update code, so a live run's final frame is
-  byte-identical to replaying its own trace — the equivalence the tests
-  pin.
+  from trace events, through one method, :meth:`DashboardState.observe`.
+  The events arrive either **live** (:class:`DashboardTracer.emit`,
+  repainting on the kernel's snapshot cadence via
+  :meth:`~repro.obs.tracer.Tracer.frame_tick`) or by **replaying** a
+  recorded JSONL trace (:func:`replay_frames` / :func:`final_frame` over
+  :func:`repro.obs.export.read_jsonl` events).  Both paths hand over the
+  same events, so a live run's final frame is byte-identical to
+  replaying its own trace — the equivalence the tests pin.
 * :class:`Dashboard` is the only piece that touches a terminal: on a TTY
   it clears and repaints (a ``watch``-style live view); off-TTY it
   appends frames as a plain log.
@@ -36,6 +36,7 @@ import time
 from collections import deque
 from typing import IO, Iterable, Mapping, Sequence
 
+from repro.obs.analysis import _events_of
 from repro.obs.tracer import NULL_TRACER, TraceEvent, TraceKind, Tracer
 
 __all__ = [
@@ -79,11 +80,10 @@ _BAR_SLOTS = 24
 class DashboardState:
     """Render-relevant facts accumulated from one run's trace events.
 
-    The ``on_*`` methods mirror the tracer hooks; :meth:`observe` replays
-    a recorded :class:`~repro.obs.tracer.TraceEvent` through the *same*
-    methods.  The only normalisation applied is the one the recorder
-    itself applies when writing a trace (allocation loads rounded to six
-    decimals), so the live and replayed states agree bit for bit.
+    :meth:`observe` is the only feed: the live :class:`DashboardTracer`
+    passes it the very :class:`~repro.obs.tracer.TraceEvent` a recorder
+    keeps, and a replay passes the events read back from the trace, so
+    the live and replayed states agree bit for bit.
     """
 
     def __init__(self, strategy: str = "", history: int = HISTORY) -> None:
@@ -119,169 +119,100 @@ class DashboardState:
         if ts > self.now:
             self.now = ts
 
-    # -- hook-parallel updates ------------------------------------------ #
-
-    def on_unit_busy(self, start: float, dur: float, unit: int | None,
-                     agent: int | None) -> None:
-        self._advance(start + dur)
-        self.items += 1
-        if agent is not None:
-            self.agent_busy[agent] = self.agent_busy.get(agent, 0.0) + dur
-            self.agent_items[agent] = self.agent_items.get(agent, 0) + 1
-        if unit is not None:
-            self.unit_busy[unit] = self.unit_busy.get(unit, 0.0) + dur
-
-    def on_queue_depth(self, ts: float, agent: int | None, channel: str,
-                       depth: int) -> None:
+    def observe(self, event: TraceEvent) -> None:
+        """Apply one trace event — the only feed, live or replayed."""
+        kind = event.kind
+        if kind not in TraceKind.ALL:
+            return
+        args = event.args
+        ts = event.ts
+        if kind == TraceKind.UNIT_BUSY:
+            dur = event.dur
+            self._advance(ts + dur)
+            self.items += 1
+            agent, unit = event.agent, event.unit
+            if agent is not None:
+                self.agent_busy[agent] = self.agent_busy.get(agent, 0.0) + dur
+                self.agent_items[agent] = self.agent_items.get(agent, 0) + 1
+            if unit is not None:
+                self.unit_busy[unit] = self.unit_busy.get(unit, 0.0) + dur
+            return
         self._advance(ts)
-        agent = -1 if agent is None else agent
-        channels = self._channel_depth.setdefault(agent, {})
-        channels[channel] = depth
-        total = sum(channels.values())
-        history = self.depth_history.setdefault(
-            agent, deque(maxlen=self.history)
-        )
-        # One sampling burst emits every channel at the same virtual
-        # timestamp; collapse the burst into a single history point.
-        if history and history[-1][0] == ts:
-            history[-1] = (ts, total)
-        else:
-            history.append((ts, total))
+        if kind == TraceKind.QUEUE_DEPTH:
+            agent = -1 if event.agent is None else event.agent
+            channels = self._channel_depth.setdefault(agent, {})
+            channels[args.get("channel", "?")] = args.get("depth", 0)
+            total = sum(channels.values())
+            history = self.depth_history.setdefault(
+                agent, deque(maxlen=self.history)
+            )
+            # One sampling burst emits every channel at the same virtual
+            # timestamp; collapse the burst into a single history point.
+            if history and history[-1][0] == ts:
+                history[-1] = (ts, total)
+            else:
+                history.append((ts, total))
+        elif kind == TraceKind.SPLITTER_ROUTE:
+            self.routed += 1
+        elif kind == TraceKind.SPLITTER_DROP:
+            self.dropped += 1
+        elif kind == TraceKind.SHED:
+            self.shed += 1
+        elif kind == TraceKind.ROLE_SWITCH:
+            self.role_switches += 1
+        elif kind == TraceKind.MIGRATION:
+            self.migrations += 1
+        elif kind == TraceKind.MATCH:
+            self.matches += 1
+            latency = args.get("latency")
+            if latency is not None:
+                self.latency_sum += latency
+                self.latency_known += 1
+        elif kind == TraceKind.ALLOC_PLAN:
+            self.plan = {
+                "scheme": str(args.get("scheme", "?")),
+                "per_agent": [int(n) for n in args.get("per_agent", [])],
+                "loads": [float(load) for load in args.get("loads", [])],
+            }
+        elif kind == TraceKind.FUSION_PLAN:
+            # Fusion plans carry unit counts but no raw loads; the
+            # allocated shares are the plan's load prediction (as in
+            # calibration).
+            per_agent = [int(n) for n in args.get("per_agent", [])]
+            self.plan = {
+                "scheme": "fusion",
+                "per_agent": per_agent,
+                "loads": [float(n) for n in per_agent],
+            }
+        elif kind == TraceKind.REPLAN:
+            self._observe_replan(ts, args)
+        elif kind == TraceKind.SLO:
+            self.slo[str(args.get("metric", "?"))] = {
+                "value": float(args.get("value", 0.0)),
+                "bound": float(args.get("bound", 0.0)),
+                "ok": bool(args.get("ok", False)),
+                "burn": float(args.get("burn", 0.0)),
+            }
 
-    def on_splitter_route(self, ts: float) -> None:
-        self._advance(ts)
-        self.routed += 1
-
-    def on_splitter_drop(self, ts: float) -> None:
-        self._advance(ts)
-        self.dropped += 1
-
-    def on_shed(self, ts: float) -> None:
-        self._advance(ts)
-        self.shed += 1
-
-    def on_replan(self, ts: float, decision: str, per_agent,
-                  reason: str, epoch: int | None = None,
-                  agent: int | None = None,
-                  partner: int | None = None) -> None:
-        self._advance(ts)
+    def _observe_replan(self, ts: float, args: dict) -> None:
         self.replans += 1
+        decision = str(args.get("decision", "?"))
+        reason = str(args.get("reason", ""))
         self.last_replan = {
-            "decision": str(decision),
-            "per_agent": [int(count) for count in per_agent],
-            "reason": str(reason),
+            "decision": decision,
+            "per_agent": [int(n) for n in args.get("per_agent", [])],
+            "reason": reason,
         }
-        entry = {"ts": ts, "decision": str(decision), "reason": str(reason)}
-        if epoch is not None:
-            entry["epoch"] = int(epoch)
-        if agent is not None:
-            entry["agent"] = int(agent)
-        if partner is not None:
-            entry["partner"] = int(partner)
+        entry = {"ts": ts, "decision": decision, "reason": reason}
+        for key in ("epoch", "agent", "partner"):
+            if args.get(key) is not None:
+                entry[key] = int(args[key])
         self.decision_log.append(entry)
         # Re-allocation updates the live plan so the drift column tracks
         # the *current* allocation, exactly like a fresh ALLOC_PLAN would.
         if self.plan is not None and self.last_replan["per_agent"]:
             self.plan = dict(
                 self.plan, per_agent=list(self.last_replan["per_agent"])
-            )
-
-    def on_alloc_plan(self, ts: float, per_agent, loads, scheme: str) -> None:
-        self._advance(ts)
-        self.plan = {
-            "scheme": str(scheme),
-            "per_agent": [int(count) for count in per_agent],
-            # The recorder rounds loads to six decimals when writing the
-            # trace; round here too so live == replay.
-            "loads": [round(float(load), 6) for load in loads],
-        }
-
-    def on_fusion_plan(self, ts: float, per_agent) -> None:
-        self._advance(ts)
-        # Fusion plans carry unit counts but no raw loads; the allocated
-        # shares are the plan's load prediction (as in calibration).
-        self.plan = {
-            "scheme": "fusion",
-            "per_agent": [int(count) for count in per_agent],
-            "loads": [float(count) for count in per_agent],
-        }
-
-    def on_role_switch(self, ts: float) -> None:
-        self._advance(ts)
-        self.role_switches += 1
-
-    def on_migration(self, ts: float) -> None:
-        self._advance(ts)
-        self.migrations += 1
-
-    def on_slo(self, ts: float, metric: str, value: float, bound: float,
-               ok: bool, burn: float) -> None:
-        self._advance(ts)
-        # The recorder rounds value/burn to six decimals when writing the
-        # trace; round here too so live == replay.
-        self.slo[str(metric)] = {
-            "value": round(float(value), 6),
-            "bound": float(bound),
-            "ok": bool(ok),
-            "burn": round(float(burn), 6),
-        }
-
-    def on_match(self, ts: float, latency: float | None) -> None:
-        self._advance(ts)
-        self.matches += 1
-        if latency is not None:
-            self.latency_sum += latency
-            self.latency_known += 1
-
-    def on_partition_start(self, ts: float) -> None:
-        self._advance(ts)
-
-    # -- replay --------------------------------------------------------- #
-
-    def observe(self, event: TraceEvent) -> None:
-        """Apply one recorded trace event (the replay path)."""
-        kind = event.kind
-        args = event.args
-        if kind == TraceKind.UNIT_BUSY:
-            self.on_unit_busy(event.ts, event.dur, event.unit, event.agent)
-        elif kind == TraceKind.QUEUE_DEPTH:
-            self.on_queue_depth(
-                event.ts, event.agent,
-                args.get("channel", "?"), args.get("depth", 0),
-            )
-        elif kind == TraceKind.SPLITTER_ROUTE:
-            self.on_splitter_route(event.ts)
-        elif kind == TraceKind.SPLITTER_DROP:
-            self.on_splitter_drop(event.ts)
-        elif kind == TraceKind.ALLOC_PLAN:
-            self.on_alloc_plan(
-                event.ts, args.get("per_agent", []),
-                args.get("loads", []), args.get("scheme", "?"),
-            )
-        elif kind == TraceKind.FUSION_PLAN:
-            self.on_fusion_plan(event.ts, args.get("per_agent", []))
-        elif kind == TraceKind.ROLE_SWITCH:
-            self.on_role_switch(event.ts)
-        elif kind == TraceKind.MIGRATION:
-            self.on_migration(event.ts)
-        elif kind == TraceKind.MATCH:
-            self.on_match(event.ts, args.get("latency"))
-        elif kind == TraceKind.PARTITION_START:
-            self.on_partition_start(event.ts)
-        elif kind == TraceKind.REPLAN:
-            self.on_replan(
-                event.ts, args.get("decision", "?"),
-                args.get("per_agent", []), args.get("reason", ""),
-                epoch=args.get("epoch"), agent=args.get("agent"),
-                partner=args.get("partner"),
-            )
-        elif kind == TraceKind.SHED:
-            self.on_shed(event.ts)
-        elif kind == TraceKind.SLO:
-            self.on_slo(
-                event.ts, args.get("metric", "?"), args.get("value", 0.0),
-                args.get("bound", 0.0), args.get("ok", False),
-                args.get("burn", 0.0),
             )
 
     # -- snapshot ------------------------------------------------------- #
@@ -564,13 +495,6 @@ def render_frame(snapshot: Mapping, plan: Mapping | None = None,
 # --------------------------------------------------------------------- #
 
 
-def _events_of(trace) -> list[TraceEvent]:
-    events = getattr(trace, "events", None)
-    if events is not None:
-        return list(events)
-    return list(trace)
-
-
 def replay_frames(trace: "Iterable[TraceEvent]", *,
                   width: int = DEFAULT_WIDTH, height: int = DEFAULT_HEIGHT,
                   strategy: str = "",
@@ -650,8 +574,8 @@ class Dashboard:
 class DashboardTracer(Tracer):
     """Live dashboard sink, chainable like :class:`MetricsTracer`.
 
-    Every hook updates the :class:`DashboardState` and forwards to
-    *inner* — a :class:`~repro.obs.tracer.TraceRecorder`, a
+    Every emitted event updates the :class:`DashboardState` and goes on
+    to *inner* — a :class:`~repro.obs.tracer.TraceRecorder`, a
     :class:`~repro.obs.registry.MetricsTracer` (itself chaining to a
     recorder), or nothing — so one run can feed the dashboard, the
     metrics registry, and a full trace at once.  Repainting happens on
@@ -686,7 +610,7 @@ class DashboardTracer(Tracer):
         """Alias of :meth:`render` named for the end-of-run call site."""
         return self.render()
 
-    # -- tracer hooks ---------------------------------------------------- #
+    # -- tracer interface ------------------------------------------------ #
 
     def frame_tick(self, ts: float) -> None:
         self.inner.frame_tick(ts)
@@ -700,63 +624,12 @@ class DashboardTracer(Tracer):
             self._last_paint = now
         self.dashboard.paint(self.render())
 
-    def unit_busy(self, start, dur, unit, agent, role, item_kind) -> None:
-        self.state.on_unit_busy(start, dur, unit, agent)
-        self.inner.unit_busy(start, dur, unit, agent, role, item_kind)
+    def emit(self, event: TraceEvent) -> None:
+        self.state.observe(event)
+        self.inner.emit(event)
 
-    def queue_depth(self, ts, agent, channel, depth) -> None:
-        self.state.on_queue_depth(ts, agent, channel, depth)
-        self.inner.queue_depth(ts, agent, channel, depth)
-
-    def splitter_route(self, ts, event_type, pushes) -> None:
-        self.state.on_splitter_route(ts)
-        self.inner.splitter_route(ts, event_type, pushes)
-
-    def splitter_drop(self, ts, event_type) -> None:
-        self.state.on_splitter_drop(ts)
-        self.inner.splitter_drop(ts, event_type)
-
-    def alloc_plan(self, ts, per_agent, loads, scheme, features=None) -> None:
-        self.state.on_alloc_plan(ts, per_agent, loads, scheme)
-        self.inner.alloc_plan(ts, per_agent, loads, scheme, features=features)
-
-    def fusion_plan(self, ts, groups, per_agent) -> None:
-        self.state.on_fusion_plan(ts, per_agent)
-        self.inner.fusion_plan(ts, groups, per_agent)
-
-    def role_switch(self, ts, unit, agent, primary, acted) -> None:
-        self.state.on_role_switch(ts)
-        self.inner.role_switch(ts, unit, agent, primary, acted)
-
-    def migration(self, ts, unit, from_agent, to_agent) -> None:
-        self.state.on_migration(ts)
-        self.inner.migration(ts, unit, from_agent, to_agent)
-
-    def match(self, ts, agent, latency) -> None:
-        self.state.on_match(ts, latency)
-        self.inner.match(ts, agent, latency)
-
-    def partition_start(self, ts, partition, unit) -> None:
-        self.state.on_partition_start(ts)
-        self.inner.partition_start(ts, partition, unit)
-
-    def replan(self, ts, decision, per_agent, reason, epoch=None,
-               agent=None, partner=None) -> None:
-        self.state.on_replan(ts, decision, per_agent, reason, epoch=epoch,
-                             agent=agent, partner=partner)
-        self.inner.replan(ts, decision, per_agent, reason, epoch=epoch,
-                          agent=agent, partner=partner)
-
-    def shed(self, ts, event_type, policy) -> None:
-        self.state.on_shed(ts)
-        self.inner.shed(ts, event_type, policy)
-
-    def slo(self, ts, metric, value, bound, ok, burn) -> None:
-        self.state.on_slo(ts, metric, value, bound, ok, burn)
-        self.inner.slo(ts, metric, value, bound, ok, burn)
-
-    # Exporters accept any object exposing ``events``; delegate to the
-    # inner recorder when it has one (as MetricsTracer does).
+    # Exporters accept any object exposing ``events``: the inner
+    # recorder's list, or ``None`` when nothing records.
     @property
     def events(self):
-        return getattr(self.inner, "events", [])
+        return self.inner.events

@@ -16,20 +16,14 @@ empirically optimal split and
 :func:`~repro.costmodel.model.allocation_moves` the re-balancing distance,
 so a run whose final verdict is "calibrated" in the offline report also
 reads as calibrated live (same tolerance, same rounding).
-
-:class:`DriftTracer` adapts the estimator to the
-:class:`~repro.obs.tracer.Tracer` interface for consumers that want the
-live signal computed *from tracer events* while chaining to a recorder —
-e.g. watching drift on a run that is also writing a JSONL trace.
 """
 
 from __future__ import annotations
 
 from repro.costmodel.model import allocation_moves, proportional_allocation
 from repro.obs.calibration import DEFAULT_TOLERANCE
-from repro.obs.tracer import NULL_TRACER, Tracer
 
-__all__ = ["DriftEstimator", "DriftTracer"]
+__all__ = ["DriftEstimator"]
 
 
 class DriftEstimator:
@@ -109,73 +103,3 @@ class DriftEstimator:
     def drifted(self) -> bool:
         """The live counterpart of the calibration report's verdict."""
         return self.moves() > self.allowed_moves()
-
-
-class DriftTracer(Tracer):
-    """Tracer adapter feeding a :class:`DriftEstimator`, chainable.
-
-    Consumes exactly the trace events post-hoc calibration reads —
-    ``alloc_plan``/``fusion_plan`` and ``unit_busy`` — and forwards every
-    hook to *inner* so it can sit in front of a recorder or dashboard.
-    """
-
-    enabled = True
-
-    def __init__(self, estimator: DriftEstimator | None = None,
-                 inner: Tracer | None = None) -> None:
-        self.estimator = estimator if estimator is not None else DriftEstimator()
-        self.inner = inner if inner is not None else NULL_TRACER
-
-    def alloc_plan(self, ts, per_agent, loads, scheme, features=None) -> None:
-        self.estimator.note_plan(list(per_agent), list(loads))
-        self.inner.alloc_plan(ts, per_agent, loads, scheme, features=features)
-
-    def fusion_plan(self, ts, groups, per_agent) -> None:
-        self.estimator.note_plan(list(per_agent), [])
-        self.inner.fusion_plan(ts, groups, per_agent)
-
-    def unit_busy(self, start, dur, unit, agent, role, item_kind) -> None:
-        if agent is not None:
-            self.estimator.note_busy(agent, dur)
-        self.inner.unit_busy(start, dur, unit, agent, role, item_kind)
-
-    def queue_depth(self, ts, agent, channel, depth) -> None:
-        self.inner.queue_depth(ts, agent, channel, depth)
-
-    def splitter_route(self, ts, event_type, pushes) -> None:
-        self.inner.splitter_route(ts, event_type, pushes)
-
-    def splitter_drop(self, ts, event_type) -> None:
-        self.inner.splitter_drop(ts, event_type)
-
-    def role_switch(self, ts, unit, agent, primary, acted) -> None:
-        self.inner.role_switch(ts, unit, agent, primary, acted)
-
-    def migration(self, ts, unit, from_agent, to_agent) -> None:
-        self.inner.migration(ts, unit, from_agent, to_agent)
-
-    def match(self, ts, agent, latency) -> None:
-        self.inner.match(ts, agent, latency)
-
-    def partition_start(self, ts, partition, unit) -> None:
-        self.inner.partition_start(ts, partition, unit)
-
-    def replan(self, ts, decision, per_agent, reason,
-               epoch=None, agent=None, partner=None) -> None:
-        self.inner.replan(
-            ts, decision, per_agent, reason,
-            epoch=epoch, agent=agent, partner=partner,
-        )
-
-    def shed(self, ts, event_type, policy) -> None:
-        self.inner.shed(ts, event_type, policy)
-
-    def slo(self, ts, metric, value, bound, ok, burn) -> None:
-        self.inner.slo(ts, metric, value, bound, ok, burn)
-
-    def frame_tick(self, ts) -> None:
-        self.inner.frame_tick(ts)
-
-    @property
-    def events(self):
-        return getattr(self.inner, "events", [])

@@ -23,6 +23,7 @@ import math
 import warnings
 from typing import Iterable, Sequence
 
+from repro.obs.analysis import _events_of
 from repro.obs.tracer import TraceEvent, TraceKind, TraceRecorder
 
 __all__ = [
@@ -45,13 +46,6 @@ _INSTANT_NAMES = {
     TraceKind.MATCH: "match",
     TraceKind.PARTITION_START: "partition_start",
 }
-
-
-def _events_of(trace: "TraceRecorder | Iterable[TraceEvent]") -> list[TraceEvent]:
-    events = getattr(trace, "events", None)
-    if events is not None:
-        return list(events)
-    return list(trace)
 
 
 def chrome_trace(trace: "TraceRecorder | Iterable[TraceEvent]") -> dict:

@@ -12,9 +12,10 @@ Prometheus client model:
 
 Two population paths exist:
 
-* :class:`MetricsTracer` — a recording :class:`~repro.obs.tracer.Tracer`
-  that updates a registry live as the simulator emits events (and can
-  chain to another tracer, so metrics and full traces come from one run);
+* :class:`MetricsTracer` — a :class:`~repro.obs.tracer.Tracer` whose
+  ``emit`` updates a registry live from each trace event the simulator
+  emits, then passes the same event on to an inner tracer, so metrics
+  and a full trace come from one run;
 * :func:`populate_from_summary` — fills a registry from an existing
   ``SimResult.extra["obs"]`` summary, for post-hoc export.
 """
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping
 
-from repro.obs.tracer import NULL_TRACER, Tracer
+from repro.obs.tracer import NULL_TRACER, TraceEvent, TraceKind, Tracer
 
 __all__ = [
     "Counter",
@@ -264,11 +265,11 @@ def prometheus_text(registry: MetricsRegistry) -> str:
 class MetricsTracer(Tracer):
     """Tracer updating a :class:`MetricsRegistry` as events arrive.
 
-    Optionally chains every hook to *inner* (e.g. a
-    :class:`~repro.obs.tracer.TraceRecorder`) so one run can feed both the
-    registry and a full trace.  The simulators treat a ``MetricsTracer``
-    exactly like any recording tracer; attach one via the ``tracer=``
-    keyword of :func:`repro.simulator.simulate`.
+    Each emitted event updates the registry and then goes on to *inner*
+    (e.g. a :class:`~repro.obs.tracer.TraceRecorder`), so one run can feed
+    both the registry and a full trace.  The simulators treat a
+    ``MetricsTracer`` exactly like any recording tracer; attach one via
+    the ``tracer=`` keyword of :func:`repro.simulator.simulate`.
     """
 
     enabled = True
@@ -323,76 +324,55 @@ class MetricsTracer(Tracer):
             labels["strategy"] = self._strategy
         return labels
 
-    # -- tracer hooks ---------------------------------------------------- #
+    # -- tracer interface ------------------------------------------------ #
 
-    def unit_busy(self, start, dur, unit, agent, role, item_kind) -> None:
-        self._busy.observe(dur, **self._labels(agent=agent))
-        self._busy_total.inc(dur, **self._labels(agent=agent))
-        self._items.inc(1, **self._labels(agent=agent, item=item_kind))
-        self.inner.unit_busy(start, dur, unit, agent, role, item_kind)
-
-    def queue_depth(self, ts, agent, channel, depth) -> None:
-        self._depth.set(depth, **self._labels(agent=agent, channel=channel))
-        self.inner.queue_depth(ts, agent, channel, depth)
-
-    def splitter_route(self, ts, event_type, pushes) -> None:
-        self._routed.inc(1, **self._labels(type=event_type))
-        self.inner.splitter_route(ts, event_type, pushes)
-
-    def splitter_drop(self, ts, event_type) -> None:
-        self._dropped.inc(1, **self._labels(type=event_type))
-        self.inner.splitter_drop(ts, event_type)
-
-    def alloc_plan(self, ts, per_agent, loads, scheme, features=None) -> None:
-        self.inner.alloc_plan(ts, per_agent, loads, scheme, features=features)
-
-    def fusion_plan(self, ts, groups, per_agent) -> None:
-        self.inner.fusion_plan(ts, groups, per_agent)
-
-    def role_switch(self, ts, unit, agent, primary, acted) -> None:
-        self._dynamics.inc(1, **self._labels(kind="role_switch"))
-        self.inner.role_switch(ts, unit, agent, primary, acted)
-
-    def migration(self, ts, unit, from_agent, to_agent) -> None:
-        self._dynamics.inc(1, **self._labels(kind="migration"))
-        self.inner.migration(ts, unit, from_agent, to_agent)
-
-    def match(self, ts, agent, latency) -> None:
-        self._matches.inc(1, **self._labels(agent=agent))
-        if latency is not None:
-            self._latency.observe(latency, **self._labels(agent=agent))
-        self.inner.match(ts, agent, latency)
-
-    def partition_start(self, ts, partition, unit) -> None:
-        self.inner.partition_start(ts, partition, unit)
-
-    def replan(self, ts, decision, per_agent, reason,
-               epoch=None, agent=None, partner=None) -> None:
-        self._replans.inc(1, **self._labels(decision=decision))
-        self.inner.replan(
-            ts, decision, per_agent, reason,
-            epoch=epoch, agent=agent, partner=partner,
-        )
-
-    def shed(self, ts, event_type, policy) -> None:
-        self._shed.inc(1, **self._labels(type=event_type, policy=policy))
-        self.inner.shed(ts, event_type, policy)
-
-    def slo(self, ts, metric, value, bound, ok, burn) -> None:
-        self._slo_windows.inc(
-            1, **self._labels(metric=metric, ok=str(bool(ok)).lower())
-        )
-        self._slo_burn.set(burn, **self._labels(metric=metric))
-        self.inner.slo(ts, metric, value, bound, ok, burn)
+    def emit(self, event: TraceEvent) -> None:
+        kind = event.kind
+        args = event.args
+        if kind == TraceKind.UNIT_BUSY:
+            agent = event.agent
+            self._busy.observe(event.dur, **self._labels(agent=agent))
+            self._busy_total.inc(event.dur, **self._labels(agent=agent))
+            self._items.inc(1, **self._labels(agent=agent, item=args["item"]))
+        elif kind == TraceKind.QUEUE_DEPTH:
+            self._depth.set(args["depth"], **self._labels(
+                agent=event.agent, channel=args["channel"],
+            ))
+        elif kind == TraceKind.SPLITTER_ROUTE:
+            self._routed.inc(1, **self._labels(type=args["type"]))
+        elif kind == TraceKind.SPLITTER_DROP:
+            self._dropped.inc(1, **self._labels(type=args["type"]))
+        elif kind in (TraceKind.ROLE_SWITCH, TraceKind.MIGRATION):
+            self._dynamics.inc(1, **self._labels(kind=kind))
+        elif kind == TraceKind.MATCH:
+            agent = event.agent
+            self._matches.inc(1, **self._labels(agent=agent))
+            latency = args.get("latency")
+            if latency is not None:
+                self._latency.observe(latency, **self._labels(agent=agent))
+        elif kind == TraceKind.REPLAN:
+            self._replans.inc(1, **self._labels(decision=args["decision"]))
+        elif kind == TraceKind.SHED:
+            self._shed.inc(1, **self._labels(
+                type=args["type"], policy=args["policy"],
+            ))
+        elif kind == TraceKind.SLO:
+            metric = args["metric"]
+            self._slo_windows.inc(1, **self._labels(
+                metric=metric, ok=str(args["ok"]).lower(),
+            ))
+            self._slo_burn.set(args["burn"], **self._labels(metric=metric))
+        self.inner.emit(event)
 
     def frame_tick(self, ts) -> None:
         self.inner.frame_tick(ts)
 
     # TraceRecorder compatibility: exporters accept any object exposing
-    # ``events``; delegate to the inner recorder when it has one.
+    # ``events`` — the inner recorder's list, or ``None`` when nothing
+    # records.
     @property
     def events(self):
-        return getattr(self.inner, "events", [])
+        return self.inner.events
 
 
 def populate_from_summary(registry: MetricsRegistry, summary: Mapping,

@@ -27,11 +27,6 @@ exhausted).  Windows with no signal for a spec (no matches, no arrivals)
 are reported as ``no_data`` and never charge the budget; an *empty*
 throughput window does charge it — zero admitted events under a
 throughput floor is exactly the starvation the spec exists to catch.
-
-:class:`SloTracer` adapts the engine to the chaining
-:class:`~repro.obs.tracer.Tracer` interface (like ``MetricsTracer`` /
-``DashboardTracer``) for consumers that want live SLO state on a run that
-is also recording or painting.
 """
 
 from __future__ import annotations
@@ -48,7 +43,6 @@ __all__ = [
     "DEFAULT_OBJECTIVE",
     "SloSpec",
     "SloEngine",
-    "SloTracer",
     "slo_report",
 ]
 
@@ -332,76 +326,6 @@ class SloEngine:
                 ) else "violated"
             ),
         }
-
-
-class SloTracer(Tracer):
-    """Chaining tracer feeding an :class:`SloEngine` from trace hooks.
-
-    Consumes exactly the hooks :func:`slo_report` reads from a recorded
-    trace (``splitter_route`` / ``shed`` / ``match``) and forwards every
-    hook to *inner*, so it can sit in front of a recorder or dashboard.
-    The engine's verdicts are then live (``tracer.engine.evaluate(now)``)
-    while the recording stays replayable to the same report.
-    """
-
-    enabled = True
-
-    def __init__(self, engine: SloEngine, inner: Tracer | None = None) -> None:
-        self.engine = engine
-        self.inner = inner if inner is not None else NULL_TRACER
-
-    def splitter_route(self, ts, event_type, pushes) -> None:
-        self.engine.observe_route(ts)
-        self.inner.splitter_route(ts, event_type, pushes)
-
-    def shed(self, ts, event_type, policy) -> None:
-        self.engine.observe_shed(ts)
-        self.inner.shed(ts, event_type, policy)
-
-    def match(self, ts, agent, latency) -> None:
-        self.engine.observe_match(ts, latency)
-        self.inner.match(ts, agent, latency)
-
-    def unit_busy(self, start, dur, unit, agent, role, item_kind) -> None:
-        self.inner.unit_busy(start, dur, unit, agent, role, item_kind)
-
-    def queue_depth(self, ts, agent, channel, depth) -> None:
-        self.inner.queue_depth(ts, agent, channel, depth)
-
-    def splitter_drop(self, ts, event_type) -> None:
-        self.inner.splitter_drop(ts, event_type)
-
-    def alloc_plan(self, ts, per_agent, loads, scheme, features=None) -> None:
-        self.inner.alloc_plan(ts, per_agent, loads, scheme, features=features)
-
-    def fusion_plan(self, ts, groups, per_agent) -> None:
-        self.inner.fusion_plan(ts, groups, per_agent)
-
-    def role_switch(self, ts, unit, agent, primary, acted) -> None:
-        self.inner.role_switch(ts, unit, agent, primary, acted)
-
-    def migration(self, ts, unit, from_agent, to_agent) -> None:
-        self.inner.migration(ts, unit, from_agent, to_agent)
-
-    def partition_start(self, ts, partition, unit) -> None:
-        self.inner.partition_start(ts, partition, unit)
-
-    def replan(self, ts, decision, per_agent, reason,
-               epoch=None, agent=None, partner=None) -> None:
-        self.inner.replan(
-            ts, decision, per_agent, reason,
-            epoch=epoch, agent=agent, partner=partner,
-        )
-
-    def slo(self, ts, metric, value, bound, ok, burn) -> None:
-        self.inner.slo(ts, metric, value, bound, ok, burn)
-
-    def frame_tick(self, ts) -> None:
-        self.inner.frame_tick(ts)
-
-    @property
-    def events(self):
-        return getattr(self.inner, "events", [])
 
 
 def slo_report(trace: "TraceRecorder | Iterable[TraceEvent]",

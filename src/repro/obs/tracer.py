@@ -1,8 +1,10 @@
 """Typed trace events and the tracer interface.
 
 A :class:`Tracer` receives structured notifications from the simulators
-and the HYPERSONIC components they drive.  The base class is the *null*
-tracer: every hook is a no-op and ``enabled`` is ``False``, so hot paths
+and the HYPERSONIC components they drive.  Each hook builds one
+:class:`TraceEvent` and hands it to :meth:`Tracer.emit`, the single
+method a consumer overrides.  The base class is the *null* tracer: its
+``emit`` drops the event and ``enabled`` is ``False``, so hot paths
 guard event construction behind a single attribute check —
 
     if tracer.enabled:
@@ -10,9 +12,11 @@ guard event construction behind a single attribute check —
 
 — and a disabled run performs no allocation or bookkeeping at all.
 
-:class:`TraceRecorder` is the recording implementation; it appends
-:class:`TraceEvent` records (virtual-clock timestamps) to an in-memory
-list consumed by :mod:`repro.obs.export`.
+:class:`TraceRecorder` is the recording implementation; its ``emit``
+appends the events (virtual-clock timestamps) to an in-memory list
+consumed by :mod:`repro.obs.export`.  Live consumers — the dashboard and
+the metrics registry — override ``emit`` as well, so they see exactly
+the events a recorder keeps and a replay of the trace sees.
 """
 
 from __future__ import annotations
@@ -83,26 +87,51 @@ class TraceEvent:
 class Tracer:
     """Null tracer: the default, zero-cost observability sink.
 
-    Subclasses that actually record set ``enabled = True``; callers on hot
-    paths must check ``enabled`` before building event arguments.
+    The hooks below are the trace vocabulary: each builds one
+    :class:`TraceEvent` — normalised the way it is recorded (loads and
+    SLO values rounded) — and passes it to :meth:`emit`.  Consumers
+    override :meth:`emit` (and :meth:`frame_tick` to repaint) and set
+    ``enabled = True``; callers on hot paths must check ``enabled``
+    before calling a hook.
     """
 
     enabled = False
+
+    #: The recorded events, or ``None`` for a tracer that keeps none.
+    events: list[TraceEvent] | None = None
+
+    def emit(self, event: TraceEvent) -> None:
+        """Consume one trace event; the null tracer drops it."""
 
     def unit_busy(self, start: float, dur: float, unit: int, agent: int,
                   role: str, item_kind: str) -> None:
         """Unit *unit* processed one *item_kind* item for *agent* in *role*,
         occupying it for ``[start, start + dur)``."""
+        self.emit(TraceEvent(
+            TraceKind.UNIT_BUSY, start, dur=dur, unit=unit, agent=agent,
+            args={"role": role, "item": item_kind},
+        ))
 
     def queue_depth(self, ts: float, agent: int, channel: str,
                     depth: int) -> None:
         """Sampled depth of one agent channel (ES/MS/GQ/...)."""
+        self.emit(TraceEvent(
+            TraceKind.QUEUE_DEPTH, ts, agent=agent,
+            args={"channel": channel, "depth": depth},
+        ))
 
     def splitter_route(self, ts: float, event_type: str, pushes: int) -> None:
         """The splitter fanned an event of *event_type* out as *pushes*."""
+        self.emit(TraceEvent(
+            TraceKind.SPLITTER_ROUTE, ts,
+            args={"type": event_type, "pushes": pushes},
+        ))
 
     def splitter_drop(self, ts: float, event_type: str) -> None:
         """The splitter dropped an event of a type the pattern ignores."""
+        self.emit(TraceEvent(
+            TraceKind.SPLITTER_DROP, ts, args={"type": event_type},
+        ))
 
     def alloc_plan(self, ts: float, per_agent: list[int], loads: list[float],
                    scheme: str,
@@ -114,24 +143,55 @@ class Tracer:
         (:data:`repro.costmodel.model.LOAD_FEATURE_NAMES`); recording it
         makes the trace self-contained for offline cost-model fitting.
         """
+        args = {
+            "per_agent": list(per_agent),
+            "loads": [round(load, 6) for load in loads],
+            "scheme": scheme,
+        }
+        if features:
+            args["features"] = [
+                [round(value, 9) for value in row] for row in features
+            ]
+        self.emit(TraceEvent(TraceKind.ALLOC_PLAN, ts, args=args))
 
     def fusion_plan(self, ts: float, groups: list[list[int]],
                     per_agent: list[int]) -> None:
         """Algorithm 2 produced its agent grouping and allocation."""
+        self.emit(TraceEvent(
+            TraceKind.FUSION_PLAN, ts,
+            args={
+                "groups": [list(group) for group in groups],
+                "per_agent": list(per_agent),
+            },
+        ))
 
     def role_switch(self, ts: float, unit: int, agent: int, primary: str,
                     acted: str) -> None:
         """A role-dynamic unit worked its secondary role for one item."""
+        self.emit(TraceEvent(
+            TraceKind.ROLE_SWITCH, ts, unit=unit, agent=agent,
+            args={"primary": primary, "acted": acted},
+        ))
 
     def migration(self, ts: float, unit: int, from_agent: int,
                   to_agent: int) -> None:
         """An agent-dynamic unit hopped between agents (Algorithm 1)."""
+        self.emit(TraceEvent(
+            TraceKind.MIGRATION, ts, unit=unit, agent=to_agent,
+            args={"from": from_agent, "to": to_agent},
+        ))
 
     def match(self, ts: float, agent: int, latency: float | None) -> None:
         """A complete match left the system (latency when known)."""
+        args = {} if latency is None else {"latency": latency}
+        self.emit(TraceEvent(TraceKind.MATCH, ts, agent=agent, args=args))
 
     def partition_start(self, ts: float, partition: int, unit: int) -> None:
         """A data-parallel partition run was activated on *unit*."""
+        self.emit(TraceEvent(
+            TraceKind.PARTITION_START, ts, unit=unit,
+            args={"partition": partition},
+        ))
 
     def replan(self, ts: float, decision: str, per_agent: list[int],
                reason: str, epoch: int | None = None,
@@ -145,15 +205,40 @@ class Tracer:
         number and, for pairwise decisions, the donor and recipient) so
         the full :class:`~repro.control.decisions.ReplanDecision` is
         reconstructable from the trace alone (:mod:`repro.obs.audit`)."""
+        args = {
+            "decision": decision,
+            "per_agent": list(per_agent),
+            "reason": reason,
+        }
+        if epoch is not None:
+            args["epoch"] = epoch
+        if agent is not None:
+            args["agent"] = agent
+        if partner is not None:
+            args["partner"] = partner
+        self.emit(TraceEvent(TraceKind.REPLAN, ts, args=args))
 
     def shed(self, ts: float, event_type: str, policy: str) -> None:
         """The splitter shed a pattern-relevant event under overload."""
+        self.emit(TraceEvent(
+            TraceKind.SHED, ts, args={"type": event_type, "policy": policy},
+        ))
 
     def slo(self, ts: float, metric: str, value: float, bound: float,
             ok: bool, burn: float) -> None:
         """An SLO evaluation window closed with a verdict: *value* against
         *bound* for *metric*, *burn* the error-budget burn rate after
         charging this window (:mod:`repro.obs.slo`)."""
+        self.emit(TraceEvent(
+            TraceKind.SLO, ts,
+            args={
+                "metric": metric,
+                "value": round(value, 6),
+                "bound": bound,
+                "ok": bool(ok),
+                "burn": round(burn, 6),
+            },
+        ))
 
     def frame_tick(self, ts: float) -> None:
         """The kernel's snapshot cadence fired (and once more at finish).
@@ -170,7 +255,7 @@ NULL_TRACER = Tracer()
 
 
 class TraceRecorder(Tracer):
-    """Tracer that appends :class:`TraceEvent` records to ``events``."""
+    """Tracer that appends every emitted :class:`TraceEvent` to ``events``."""
 
     enabled = True
 
@@ -180,112 +265,5 @@ class TraceRecorder(Tracer):
     def __len__(self) -> int:
         return len(self.events)
 
-    def unit_busy(self, start: float, dur: float, unit: int, agent: int,
-                  role: str, item_kind: str) -> None:
-        self.events.append(TraceEvent(
-            TraceKind.UNIT_BUSY, start, dur=dur, unit=unit, agent=agent,
-            args={"role": role, "item": item_kind},
-        ))
-
-    def queue_depth(self, ts: float, agent: int, channel: str,
-                    depth: int) -> None:
-        self.events.append(TraceEvent(
-            TraceKind.QUEUE_DEPTH, ts, agent=agent,
-            args={"channel": channel, "depth": depth},
-        ))
-
-    def splitter_route(self, ts: float, event_type: str, pushes: int) -> None:
-        self.events.append(TraceEvent(
-            TraceKind.SPLITTER_ROUTE, ts,
-            args={"type": event_type, "pushes": pushes},
-        ))
-
-    def splitter_drop(self, ts: float, event_type: str) -> None:
-        self.events.append(TraceEvent(
-            TraceKind.SPLITTER_DROP, ts, args={"type": event_type},
-        ))
-
-    def alloc_plan(self, ts: float, per_agent: list[int], loads: list[float],
-                   scheme: str,
-                   features: list[tuple[float, ...]] | None = None) -> None:
-        args = {
-            "per_agent": list(per_agent),
-            "loads": [round(load, 6) for load in loads],
-            "scheme": scheme,
-        }
-        if features:
-            args["features"] = [
-                [round(value, 9) for value in row] for row in features
-            ]
-        self.events.append(TraceEvent(TraceKind.ALLOC_PLAN, ts, args=args))
-
-    def fusion_plan(self, ts: float, groups: list[list[int]],
-                    per_agent: list[int]) -> None:
-        self.events.append(TraceEvent(
-            TraceKind.FUSION_PLAN, ts,
-            args={
-                "groups": [list(group) for group in groups],
-                "per_agent": list(per_agent),
-            },
-        ))
-
-    def role_switch(self, ts: float, unit: int, agent: int, primary: str,
-                    acted: str) -> None:
-        self.events.append(TraceEvent(
-            TraceKind.ROLE_SWITCH, ts, unit=unit, agent=agent,
-            args={"primary": primary, "acted": acted},
-        ))
-
-    def migration(self, ts: float, unit: int, from_agent: int,
-                  to_agent: int) -> None:
-        self.events.append(TraceEvent(
-            TraceKind.MIGRATION, ts, unit=unit, agent=to_agent,
-            args={"from": from_agent, "to": to_agent},
-        ))
-
-    def match(self, ts: float, agent: int, latency: float | None) -> None:
-        args = {} if latency is None else {"latency": latency}
-        self.events.append(TraceEvent(
-            TraceKind.MATCH, ts, agent=agent, args=args,
-        ))
-
-    def partition_start(self, ts: float, partition: int, unit: int) -> None:
-        self.events.append(TraceEvent(
-            TraceKind.PARTITION_START, ts, unit=unit,
-            args={"partition": partition},
-        ))
-
-    def replan(self, ts: float, decision: str, per_agent: list[int],
-               reason: str, epoch: int | None = None,
-               agent: int | None = None,
-               partner: int | None = None) -> None:
-        args = {
-            "decision": decision,
-            "per_agent": list(per_agent),
-            "reason": reason,
-        }
-        if epoch is not None:
-            args["epoch"] = epoch
-        if agent is not None:
-            args["agent"] = agent
-        if partner is not None:
-            args["partner"] = partner
-        self.events.append(TraceEvent(TraceKind.REPLAN, ts, args=args))
-
-    def shed(self, ts: float, event_type: str, policy: str) -> None:
-        self.events.append(TraceEvent(
-            TraceKind.SHED, ts, args={"type": event_type, "policy": policy},
-        ))
-
-    def slo(self, ts: float, metric: str, value: float, bound: float,
-            ok: bool, burn: float) -> None:
-        self.events.append(TraceEvent(
-            TraceKind.SLO, ts,
-            args={
-                "metric": metric,
-                "value": round(value, 6),
-                "bound": bound,
-                "ok": bool(ok),
-                "burn": round(burn, 6),
-            },
-        ))
+    def emit(self, event: TraceEvent) -> None:
+        self.events.append(event)

@@ -803,19 +803,19 @@ class ProcsPipelineEngine:
             },
         )
         if self.tracer.enabled:
-            from repro.obs.calibration import calibration_report
-            from repro.obs.export import summarize
-
-            obs = summarize(self.tracer, total_time, unit_busy=busy)
-            events = getattr(self.tracer, "events", None)
+            events = self.tracer.events
             if events is not None:
+                from repro.obs.calibration import calibration_report
+                from repro.obs.export import summarize
+
+                obs = summarize(events, total_time, unit_busy=busy)
                 calibration = calibration_report(
                     events, total_time=total_time
                 )
                 if calibration is not None:
                     obs["calibration"] = calibration
-            obs["costs"] = self.costs.as_dict()
-            result.extra["obs"] = obs
+                obs["costs"] = self.costs.as_dict()
+                result.extra["obs"] = obs
             self.tracer.frame_tick(total_time)
         self.result = result
         return resolved

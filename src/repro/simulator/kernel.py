@@ -263,9 +263,11 @@ class SimKernel:
             extra=extra if extra is not None else {},
         )
         if self.tracer.enabled:
-            obs = summarize(self.tracer, total_time, unit_busy=self.unit_busy)
-            events = getattr(self.tracer, "events", None)
+            events = self.tracer.events
+            # A consumer without a recorder keeps no events, so there is
+            # nothing to summarise.
             if events is not None:
+                obs = summarize(events, total_time, unit_busy=self.unit_busy)
                 # Analysis passes derive everything from the trace alone,
                 # so replaying the JSONL export later gives the same
                 # sections (see repro.obs.analysis / .calibration).
@@ -281,9 +283,9 @@ class SimKernel:
                 audit = audit_report(events, total_time=total_time)
                 if audit is not None:
                     obs["audit"] = audit
-            if self.costs is not None:
-                obs["costs"] = self.costs.as_dict()
-            result.extra["obs"] = obs
+                if self.costs is not None:
+                    obs["costs"] = self.costs.as_dict()
+                result.extra["obs"] = obs
             # Final presentation pulse so a live dashboard paints the
             # end-of-run state (its frame then matches a replay of the
             # recorded trace byte for byte).

@@ -32,7 +32,7 @@ from repro.obs import (
     write_jsonl,
 )
 from repro.obs.dashboard import DECISION_LOG, Dashboard, DashboardState
-from repro.obs.tracer import TraceKind
+from repro.obs.tracer import TraceEvent, TraceKind
 from repro.simulator import simulate
 
 PATTERN = Pattern.sequence(["A", "B", "C"], window=6.0)
@@ -190,6 +190,32 @@ class TestSloAndDecisionPanes:
         replayed = final_frame(events, strategy="hypersonic")
         assert live.final_frame() == replayed
         assert "slo throughput" in replayed
+
+
+class TestOneFeed:
+    """Live and replayed events reach ``DashboardState.observe`` alike,
+    whatever plan or control kinds the run records."""
+
+    @pytest.mark.parametrize("kwargs,kind", [
+        ({"force_fusion_pairs": ((0, 1),)}, TraceKind.FUSION_PLAN),
+        ({"adapt": "on", "shed_bound": 4, "shed_policy": "pattern",
+          "pace": 0.95}, TraceKind.SHED),
+    ], ids=["fused", "shedding"])
+    def test_final_frames_agree(self, tmp_path, kwargs, kind):
+        live = DashboardTracer(inner=TraceRecorder(), strategy="hypersonic")
+        simulate("hypersonic", PATTERN, multi_burst_events(), num_cores=3,
+                 tracer=live, **kwargs)
+        assert any(event.kind == kind for event in live.events)
+        path = tmp_path / "run.jsonl"
+        write_jsonl(str(path), live)
+        replayed = final_frame(read_jsonl(str(path)), strategy="hypersonic")
+        assert live.final_frame() == replayed
+
+    def test_unknown_kinds_leave_the_state_alone(self):
+        state = DashboardState(strategy="x")
+        before = state.snapshot()
+        state.observe(TraceEvent("not_a_kind", 5.0, args={"depth": 3}))
+        assert state.snapshot() == before
 
 
 class TestLiveReplayEquivalence:

@@ -1,14 +1,19 @@
 """Tests for the metrics registry, exporters, and the MetricsTracer."""
 
 import json
+from collections import Counter
 
 import pytest
 
 from tests.conftest import make_stream
 from repro.core import Pattern
+from repro.datasets import BurstyConfig, generate_bursty_stream
 from repro.obs import (
+    DashboardTracer,
     MetricsRegistry,
     MetricsTracer,
+    SloSpec,
+    TraceKind,
     TraceRecorder,
     populate_from_summary,
     prometheus_text,
@@ -175,6 +180,76 @@ class TestMetricsTracer:
                  for s in dump["sim_dynamics_total"]["series"]}
         assert kinds.get("role_switch", 0) > 0
         assert kinds.get("migration", 0) > 0
+
+
+class TestMetricsTracerAdaptiveSeries:
+    def test_series_count_the_recorded_replan_shed_and_slo_events(self):
+        pattern = Pattern.sequence(["S0", "S1", "S2"], window=0.5)
+        events = list(generate_bursty_stream(BurstyConfig(
+            symbols=("S0", "S1", "S2", "S3"), base_rate=40.0,
+            num_phases=4, events_per_phase=120, seed=7,
+        )))
+        reference = simulate("hypersonic", pattern, events, num_cores=4)
+        recorder = TraceRecorder()
+        tracer = MetricsTracer(inner=recorder)
+        simulate(
+            "hypersonic", pattern, events, num_cores=4,
+            adapt="on", shed_bound=8, shed_policy="pattern",
+            pace=1.0 / (1.5 * reference.throughput),
+            slos=[SloSpec("p95_latency", bound=40.0, window=30.0),
+                  SloSpec("recall", bound=0.95, window=30.0)],
+            tracer=tracer,
+        )
+        dump = tracer.registry.to_json()
+
+        def total(name):
+            return sum(s["value"] for s in dump[name]["series"])
+
+        kinds = Counter(event.kind for event in recorder.events)
+        assert kinds[TraceKind.REPLAN] and kinds[TraceKind.SHED]
+        assert total("sim_replans_total") == kinds[TraceKind.REPLAN]
+        assert total("sim_shed_total") == kinds[TraceKind.SHED]
+        assert total("sim_slo_windows_total") == kinds[TraceKind.SLO]
+        # The burn gauge holds each metric's latest burn exactly as the
+        # trace records it (six decimals), so a replay reads the same.
+        recorded = {
+            event.args["metric"]: event.args["burn"]
+            for event in recorder.events if event.kind == TraceKind.SLO
+        }
+        gauge = {
+            s["labels"]["metric"]: s["value"]
+            for s in dump["sim_slo_burn_rate"]["series"]
+        }
+        assert gauge == recorded
+
+
+class TestConsumerWithoutRecorder:
+    """A live consumer with no inner recorder keeps no events, so the run
+    carries no obs summary rather than one built from zero events."""
+
+    @pytest.mark.parametrize("make_tracer", [DashboardTracer, MetricsTracer],
+                             ids=["dashboard", "metrics"])
+    def test_no_obs_summary_from_an_empty_trace(self, make_tracer):
+        tracer = make_tracer()
+        result = simulate(
+            "hypersonic", Pattern.sequence(["A", "B", "C"], window=5.0),
+            make_stream(num_events=300, seed=51), num_cores=4, tracer=tracer,
+        )
+        assert result.matches > 0
+        assert "obs" not in result.extra
+        assert tracer.events is None
+
+    def test_consumers_still_see_every_event(self):
+        board = DashboardTracer()
+        metrics = MetricsTracer(inner=board)
+        result = simulate("hypersonic", PATTERN,
+                          make_stream(num_events=300, seed=51),
+                          num_cores=4, tracer=metrics)
+        assert board.state.matches == result.matches
+        dump = metrics.registry.to_json()
+        assert sum(
+            s["value"] for s in dump["sim_matches_total"]["series"]
+        ) == result.matches
 
 
 class TestPopulateFromSummary:

@@ -22,6 +22,8 @@ PUBLIC_MODULES = [
     "repro.datasets",
     "repro.workloads",
     "repro.bench",
+    "repro.obs",
+    "repro.control",
     "repro.cli",
 ]
 

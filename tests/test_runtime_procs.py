@@ -402,6 +402,22 @@ class TestMeasuredTrace:
         assert params["comm_event"] == params["comm_event"]  # not NaN
         assert params["comm_match"] == params["comm_match"]
 
+    def test_obs_summary_only_from_recorded_events(self):
+        from repro.obs import MetricsTracer
+
+        pattern, events = stock_case(num_events=300)
+        recorder = TraceRecorder()
+        engine = ProcsPipelineEngine(pattern, procs=2, tracer=recorder)
+        engine.run(events, timeout=60.0)
+        obs = engine.result.extra["obs"]
+        assert obs["events_recorded"] == len(recorder.events) > 0
+
+        metrics = MetricsTracer()
+        engine = ProcsPipelineEngine(pattern, procs=2, tracer=metrics)
+        engine.run(events, timeout=60.0)
+        assert "obs" not in engine.result.extra
+        assert metrics.registry.to_json()["sim_unit_busy_work_total"]
+
     def test_result_carries_comm_volumes(self):
         pattern, events = stock_case(num_events=300)
         engine = ProcsPipelineEngine(pattern, procs=2)

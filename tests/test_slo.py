@@ -4,15 +4,18 @@ import json
 
 import pytest
 
+from repro.datasets import BurstyConfig, generate_bursty_stream
 from repro.obs import (
     DEFAULT_OBJECTIVE,
+    NULL_TRACER,
     SLO_METRICS,
     SloEngine,
     SloSpec,
-    SloTracer,
     slo_report,
 )
 from repro.obs.tracer import TraceKind, TraceRecorder
+from repro.simulator import simulate
+from repro.workloads import stock_sequence_query
 
 
 class TestSloSpec:
@@ -222,16 +225,21 @@ class TestLiveReplayParity:
         SloSpec("throughput", bound=2.0, window=1.0),
     )
 
-    def _drive(self, tracer, evaluate_midrun):
-        engine = tracer.engine
+    def _drive(self, engine, evaluate_midrun, recorder=NULL_TRACER):
+        # Feed the engine the way the simulator does, recording each
+        # observation as the trace event the simulator records with it.
         ts = 0.0
         for step in range(60):
             ts = step * 0.1
-            tracer.splitter_route(ts, "S0", 1)
+            engine.observe_route(ts)
+            recorder.splitter_route(ts, "S0", 1)
             if step % 7 == 0:
-                tracer.shed(ts, "S0", "pattern")
+                engine.observe_shed(ts)
+                recorder.shed(ts, "S0", "pattern")
             if step % 3 == 0:
-                tracer.match(ts, agent=0, latency=1.0 + (step % 5))
+                latency = 1.0 + (step % 5)
+                engine.observe_match(ts, latency)
+                recorder.match(ts, agent=0, latency=latency)
             if evaluate_midrun and step % 10 == 0:
                 engine.evaluate(ts)
         total = ts + 0.1
@@ -240,9 +248,9 @@ class TestLiveReplayParity:
 
     def test_live_report_equals_trace_replay_byte_for_byte(self):
         recorder = TraceRecorder()
-        tracer = SloTracer(SloEngine(list(self._SPECS)), inner=recorder)
-        total = self._drive(tracer, evaluate_midrun=True)
-        live = json.dumps(tracer.engine.report(), sort_keys=True)
+        engine = SloEngine(list(self._SPECS))
+        total = self._drive(engine, evaluate_midrun=True, recorder=recorder)
+        live = json.dumps(engine.report(), sort_keys=True)
         replayed = json.dumps(
             slo_report(recorder.events, list(self._SPECS), total_time=total),
             sort_keys=True,
@@ -254,9 +262,9 @@ class TestLiveReplayParity:
         # often the control plane polls must be invisible in the report.
         reports = []
         for midrun in (True, False):
-            tracer = SloTracer(SloEngine(list(self._SPECS)))
-            self._drive(tracer, evaluate_midrun=midrun)
-            reports.append(json.dumps(tracer.engine.report(), sort_keys=True))
+            engine = SloEngine(list(self._SPECS))
+            self._drive(engine, evaluate_midrun=midrun)
+            reports.append(json.dumps(engine.report(), sort_keys=True))
         assert reports[0] == reports[1]
 
     def test_engine_mirrors_window_closes_to_the_tracer(self):
@@ -274,17 +282,55 @@ class TestLiveReplayParity:
         assert slo_events[0].args["ok"] is False  # 1 admit < floor of 2
         assert "burn" in slo_events[0].args
 
-    def test_tracer_chains_to_inner_and_exposes_events(self):
+
+def _bursty_stock_query():
+    events = list(generate_bursty_stream(BurstyConfig(
+        symbols=("S0", "S1", "S2", "S3"),
+        base_rate=0.6,
+        num_phases=6,
+        events_per_phase=250,
+        seed=42,
+    )))
+    spec = stock_sequence_query(
+        ["S0", "S1", "S2"], 30.0, events, selectivity=0.2
+    )
+    return spec.pattern, events
+
+
+class TestSimulatorLiveReplayParity:
+    """The simulator's live ``extra["slo"]`` equals :func:`slo_report`
+    over the trace the same run recorded."""
+
+    _SPECS = (
+        SloSpec("p95_latency", bound=2000.0, window=30.0),
+        SloSpec("recall", bound=0.95, window=30.0),
+        SloSpec("throughput", bound=0.05, window=30.0),
+    )
+
+    @pytest.mark.parametrize("kwargs", [
+        {},
+        {"adapt": "on", "shed_bound": 16, "shed_policy": "pattern",
+         "pace": 10.0},
+    ], ids=["plain", "adaptive_shed_paced"])
+    def test_live_slo_equals_trace_replay(self, kwargs):
+        pattern, events = _bursty_stock_query()
         recorder = TraceRecorder()
-        tracer = SloTracer(SloEngine(list(self._SPECS)), inner=recorder)
-        tracer.splitter_route(0.1, "S0", 1)
-        tracer.shed(0.2, "S1", "tail")
-        tracer.match(0.3, agent=0, latency=2.0)
-        tracer.replan(0.4, "migrate", [3, 1], "drift", epoch=2)
-        tracer.slo(1.0, "recall", 0.5, 0.9, False, 1.0)
-        kinds = [event.kind for event in tracer.events]
-        assert kinds == [
-            TraceKind.SPLITTER_ROUTE, TraceKind.SHED, TraceKind.MATCH,
-            TraceKind.REPLAN, TraceKind.SLO,
-        ]
-        assert tracer.events is recorder.events
+        result = simulate(
+            "hypersonic", pattern, events, num_cores=4,
+            slos=list(self._SPECS), tracer=recorder, **kwargs,
+        )
+        live = json.dumps(result.extra["slo"], sort_keys=True)
+        replayed = json.dumps(
+            slo_report(
+                recorder.events, list(self._SPECS),
+                total_time=result.total_time,
+            ),
+            sort_keys=True,
+        )
+        assert live == replayed
+        kinds = {event.kind for event in recorder.events}
+        assert TraceKind.SLO in kinds
+        if kwargs:
+            # The cell exercises what it is named for: shedding under
+            # pacing, with control-plane decisions in the trace.
+            assert {TraceKind.SHED, TraceKind.REPLAN} <= kinds
