@@ -27,8 +27,10 @@ This module supplies the three pieces it needs:
   :class:`MatchColumns` maintain contiguous per-attribute arrays
   (timestamps, ids, window bounds, plain attributes, centered history
   matrices) over one :class:`~repro.hypersonic.buffers.FragmentedBuffer`
-  fragment.  Views synchronize incrementally: appends extend the columns,
-  purges bump the fragment's version and trigger a rebuild.
+  fragment.  Views follow their fragment in place: appends extend the
+  columns (``sync``) and a purge drops the same rows from every column
+  (``retain``), so each buffered history is centered once however many
+  purges it survives.
 
 numpy is used when importable; a hand-rolled fallback keeps the core
 dependency-free.  The fallback's dot product accumulates sequentially, so
@@ -46,6 +48,7 @@ the scalar operator table.
 from __future__ import annotations
 
 import math
+from itertools import compress
 from typing import Any, Callable, Sequence
 
 from repro.core.conditions import (
@@ -92,6 +95,32 @@ _MISSING = object()
 
 def have_numpy() -> bool:
     return np is not None
+
+
+def _kept(values: list, keep) -> list:
+    """The entries of *values* that a purge keeps.
+
+    *keep* is a slice (a prefix cut) or a boolean mask over the fragment.
+    A view may lag its fragment until the next ``sync``, so the mask can
+    run past the end of *values*.
+    """
+    if isinstance(keep, slice):
+        return values[keep]
+    return list(compress(values, keep))
+
+
+def _kept_rows(matrix, keep):
+    """:func:`_kept` for a cached matrix mirroring the first rows of a
+    column; the result mirrors the first rows of the kept column.
+    ``None`` (drop the cache) when there is nothing left to mirror or the
+    backend is gone."""
+    if matrix is None or np is None:
+        return None
+    if isinstance(keep, slice):
+        kept = matrix[keep]
+    else:
+        kept = matrix[np.asarray(keep[:len(matrix)], dtype=bool)]
+    return kept if len(kept) else None
 
 
 # --------------------------------------------------------------------- #
@@ -200,6 +229,23 @@ class HistoryColumn:
     def __len__(self) -> int:
         return len(self.raw)
 
+    def retain(self, keep) -> None:
+        """Drop the rows a purge removes (see :func:`_kept`); the kept
+        rows stay centered, and the matrix keeps the rows it has."""
+        self.raw = _kept(self.raw, keep)
+        self.rows = _kept(self.rows, keep)
+        self.norms = _kept(self.norms, keep)
+        # The purge may have removed the rows that made the column ragged,
+        # or every row of its width; a matrix of another width is dropped.
+        widths = {len(raw) for raw in self.raw if raw is not None}
+        width = widths.pop() if len(widths) == 1 else (-1 if widths else None)
+        if width == self._width:
+            self._matrix = _kept_rows(self._matrix, keep)
+        else:
+            self._width = width
+            self._matrix = None
+        self._matrix_rows = 0 if self._matrix is None else len(self._matrix)
+
     def append(self, value: Any) -> None:
         if not isinstance(value, (list, tuple)):
             self.raw.append(None)
@@ -268,14 +314,19 @@ class HistoryColumn:
     def _dense_matrix(self):
         """Cache a matrix of centered rows; degenerate rows become zeros
         (their coefficients are fixed before the dot, so the row content
-        is irrelevant — zeros keep the matrix rectangular)."""
+        is irrelevant — zeros keep the matrix rectangular).  Rows appended
+        since the last call are stacked under the cached ones."""
         if self._width is None or self._width < 0:
             return None
-        if self._matrix is None or self._matrix_rows != len(self.rows):
+        if self._matrix_rows != len(self.rows):
             zeros = [0.0] * self._width
-            self._matrix = np.asarray(
-                [row if row is not None else zeros for row in self.rows],
+            fresh = np.asarray(
+                [row if row is not None else zeros
+                 for row in self.rows[self._matrix_rows:]],
                 dtype=float,
+            )
+            self._matrix = fresh if self._matrix is None else np.concatenate(
+                (self._matrix, fresh)
             )
             self._matrix_rows = len(self.rows)
         return self._matrix
@@ -295,6 +346,14 @@ class ValueColumn:
     def __len__(self) -> int:
         return len(self.values)
 
+    def retain(self, keep) -> None:
+        """Drop the values a purge removes (see :func:`_kept`)."""
+        self.values = _kept(self.values, keep)
+        self._array = None
+        self._array_rows = 0
+        if not self._floats:
+            self._floats = all(type(value) is float for value in self.values)
+
     def append(self, value: Any) -> None:
         self.values.append(value)
         if type(value) is not float:
@@ -310,7 +369,7 @@ class ValueColumn:
             and type(other) is float
             and len(indices) > 1
         ):
-            if self._array is None or self._array_rows != len(self.values):
+            if self._array_rows != len(self.values):
                 self._array = np.asarray(self.values, dtype=float)
                 self._array_rows = len(self.values)
             picked = self._array[np.asarray(list(indices), dtype=np.intp)]
@@ -517,7 +576,8 @@ class StageKernel:
 def compile_stage_kernel(stage: Stage) -> StageKernel | None:
     """Build a vectorized kernel for *stage*, or ``None`` when any of its
     conditions falls outside the vectorizable forms (Kleene stages, unary
-    or arbitrary pairwise predicates, disjunctions)."""
+    or arbitrary pairwise predicates, disjunctions, reductions of a Kleene
+    tuple other than its last event)."""
     if stage.is_kleene:
         return None
     position = stage.item.name
@@ -531,6 +591,9 @@ def compile_stage_kernel(stage: Stage) -> StageKernel | None:
     for condition in flat:
         if isinstance(condition, TrueCondition):
             continue
+        if getattr(condition, "reduce", "last") != "last":
+            # The columns read a Kleene tuple's last event (_bound_event).
+            return None
         if isinstance(condition, CorrelationCondition):
             if condition.left == position and condition.right != position:
                 other = condition.right
@@ -568,24 +631,22 @@ def compile_stage_kernel(stage: Stage) -> StageKernel | None:
 class EventColumns:
     """Columnar view over one event-buffer fragment.
 
-    Synchronized incrementally: :meth:`sync` appends rows for the
-    fragment's tail; the owner invalidates the whole view (and builds a
-    fresh one) when the fragment's version changes — i.e. after a purge.
+    It follows the fragment in place: :meth:`sync` appends rows for the
+    fragment's tail, and the owner applies each purge of the fragment to
+    the view with :meth:`retain`.
     """
 
-    __slots__ = ("version", "count", "ts", "ids", "op_columns", "_ts_array",
-                 "_ids_array", "_array_rows")
+    __slots__ = ("count", "ts", "ids", "op_columns", "_arrays",
+                 "_array_rows")
 
-    def __init__(self, kernel: StageKernel, version: int) -> None:
-        self.version = version
+    def __init__(self, kernel: StageKernel) -> None:
         self.count = 0
         self.ts: list[float] = []
         self.ids: list[int] = []
         self.op_columns = []
         for factory, attribute in kernel.event_column_factories():
             self.op_columns.append((factory(), attribute))
-        self._ts_array = None
-        self._ids_array = None
+        self._arrays = None
         self._array_rows = 0
 
     def sync(self, fragment: list) -> None:
@@ -595,6 +656,17 @@ class EventColumns:
             for column, attribute in self.op_columns:
                 column.append(_extract(event, attribute))
         self.count = len(fragment)
+
+    def retain(self, keep) -> None:
+        """Apply a purge of the fragment: *keep* is a slice (a prefix
+        cut) or a boolean mask over the fragment."""
+        self.ts = _kept(self.ts, keep)
+        self.ids = _kept(self.ids, keep)
+        for column, _attribute in self.op_columns:
+            column.retain(keep)
+        self.count = len(self.ts)
+        self._arrays = None
+        self._array_rows = 0
 
     def op_column(self, op_index: int):
         return self.op_columns[op_index][0]
@@ -606,8 +678,7 @@ class EventColumns:
         with the given bounds — exact comparisons, backend-independent."""
         if np is not None and self.count > 1:
             self._refresh_arrays()
-            ts = self._ts_array
-            ids = self._ids_array
+            ts, ids = self._arrays
             fits = (np.maximum(ts, latest) - np.minimum(ts, earliest)) <= window
             order = (ts > last_ts) | ((ts == last_ts) & (ids > last_id))
             return np.nonzero(fits & order)[0].tolist()
@@ -623,21 +694,23 @@ class EventColumns:
 
     def _refresh_arrays(self) -> None:
         if self._array_rows != self.count:
-            self._ts_array = np.asarray(self.ts, dtype=float)
-            self._ids_array = np.asarray(self.ids, dtype=np.int64)
+            self._arrays = (
+                np.asarray(self.ts, dtype=float),
+                np.asarray(self.ids, dtype=np.int64),
+            )
             self._array_rows = self.count
 
 
 class MatchColumns:
-    """Columnar view over one match-buffer fragment."""
+    """Columnar view over one match-buffer fragment; it follows the
+    fragment like :class:`EventColumns`."""
 
-    __slots__ = ("version", "count", "earliest", "latest", "last_ts",
+    __slots__ = ("count", "earliest", "latest", "last_ts",
                  "last_id", "bound", "op_columns", "_stages", "_stage_index",
                  "_position", "_arrays", "_array_rows")
 
-    def __init__(self, kernel: StageKernel, version: int,
+    def __init__(self, kernel: StageKernel,
                  stages: tuple[Stage, ...], stage_index: int) -> None:
-        self.version = version
         self.count = 0
         self.earliest: list[float] = []
         self.latest: list[float] = []
@@ -671,6 +744,19 @@ class MatchColumns:
                     _bound_event(partial.binding.get(other)), attribute
                 ))
         self.count = len(fragment)
+
+    def retain(self, keep) -> None:
+        """Apply a purge of the fragment (see :meth:`EventColumns.retain`)."""
+        self.earliest = _kept(self.earliest, keep)
+        self.latest = _kept(self.latest, keep)
+        self.last_ts = _kept(self.last_ts, keep)
+        self.last_id = _kept(self.last_id, keep)
+        self.bound = _kept(self.bound, keep)
+        for column, _other, _attribute in self.op_columns:
+            column.retain(keep)
+        self.count = len(self.earliest)
+        self._arrays = None
+        self._array_rows = 0
 
     def op_column(self, op_index: int):
         return self.op_columns[op_index][0]

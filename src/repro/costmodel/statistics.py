@@ -2,20 +2,22 @@
 
 The outer load balancer needs the average arrival rate of each pattern
 event type (``e_i``) and the selectivity of each NFA state (``s_i``).  As
-in the paper, both are measured by executing the system on a small prefix
-of the input stream: we run the sequential engine instrumented with
-per-stage comparison/success counters and read the rates off the sample's
-substream frequencies.
+in the paper, both are measured on a small prefix of the input stream.
+The rates are the sample's substream frequencies; the selectivities come
+from a sampling join (:class:`_SamplingRun`) that counts, per stage, the
+condition evaluations and successes of each arriving event against a
+capped pool of partial matches.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import Iterable, Sequence
 
 from repro.core.events import Event
 from repro.core.matches import PartialMatch
-from repro.core.nfa import ChainNFA, compile_pattern, seq_order_allows
+from repro.core.nfa import ChainNFA, Stage, compile_pattern, seq_order_allows
 from repro.core.patterns import Pattern
 from repro.core.streams import substream_rates
 from repro.costmodel.model import WorkloadStatistics
@@ -46,28 +48,51 @@ class StageObservation:
         return self.successes / self.comparisons
 
 
+#: Most partial matches a stage's pool holds.  Sampling needs selectivity
+#: estimates, not the full match set, and unbounded pools would make
+#: sampling as expensive as detection.  Later additions to a full pool are
+#: dropped, so the pool order decides which partials are kept.
+_POOL_CAP = 512
+
+
 @dataclass
 class _SamplingRun:
-    """A stripped-down chain evaluation that only counts comparisons.
+    """A sampling join that only counts, per stage.
 
-    Faster and simpler than the full engine: no negation handling, no
-    Kleene subset explosion (Kleene stages are sampled as plain stages for
-    selectivity purposes — the closure's blow-up is applied analytically by
-    the cost model's Theorem 4, so sampling it here would double-count).
+    Each event of a stage's type is compared with every partial match in
+    the stage's pool that passes the window and SEQ-order checks; the
+    accepted ones extend into the next stage's pool.  There is no
+    negation handling and no Kleene subset explosion (Kleene stages are
+    sampled as plain stages for selectivity purposes — the closure's
+    blow-up is applied analytically by the cost model's Theorem 4, so
+    sampling it here would double-count).
+
+    The pool of a stage whose conditions compile to a
+    :class:`~repro.core.vectorized.StageKernel` carries a
+    :class:`~repro.core.vectorized.MatchColumns` view, expired with the
+    pool, and is scanned through the kernel (DESIGN §2m).  Stage 0,
+    Kleene stages and stages with other conditions use the pair loop of
+    :meth:`_scan_pairs`, the reference the kernel path reproduces count
+    for count.
     """
 
     nfa: ChainNFA
     observations: list[StageObservation] = field(default_factory=list)
 
     def __post_init__(self) -> None:
-        self.observations = [StageObservation() for _ in self.nfa.stages]
-        self._pools: list[list[PartialMatch]] = [
-            [] for _ in self.nfa.stages
+        from repro.core.vectorized import MatchColumns, compile_stage_kernel
+
+        stages = self.nfa.stages
+        self.observations = [StageObservation() for _ in stages]
+        self._pools: list[list[PartialMatch]] = [[] for _ in stages]
+        self._kernels = [None] + [
+            compile_stage_kernel(stage) for stage in stages[1:]
         ]
-        # Cap pool sizes: sampling needs selectivity estimates, not the full
-        # match set, and unbounded pools would make sampling as expensive as
-        # detection.
-        self._pool_cap = 512
+        self._views = [
+            None if kernel is None
+            else MatchColumns(kernel, stages, stage.index)
+            for stage, kernel in zip(stages, self._kernels)
+        ]
 
     def feed(self, event: Event) -> None:
         nfa = self.nfa
@@ -94,33 +119,72 @@ class _SamplingRun:
                     additions.append((1, seed))
                 continue
             pool = self._pools[stage.index]
-            pool[:] = [p for p in pool if p.earliest >= horizon]
+            view = self._views[stage.index]
+            keep = [p.earliest >= horizon for p in pool]
+            if not all(keep):
+                pool[:] = compress(pool, keep)
+                if view is not None:
+                    view.retain(keep)
             observation.scanned += len(pool)
             observation.scan_sq += len(pool) * len(pool)
-            for partial in pool:
-                if not partial.fits_with(event, window):
-                    continue
-                if not seq_order_allows(partial, nfa.stages, stage.index, event):
-                    continue
-                observation.comparisons += 1
-                if stage.accepts(partial, event):
-                    observation.successes += 1
-                    if stage.is_kleene:
-                        base = dict(partial.binding)
-                        base[stage.item.name] = (event,)
-                        extended = PartialMatch(
-                            binding=base,
-                            earliest=min(partial.earliest, event.timestamp),
-                            latest=max(partial.latest, event.timestamp),
-                        )
-                    else:
-                        extended = partial.extended(stage.item.name, event)
-                    additions.append((stage.index + 1, extended))
+            if view is None:
+                accepted = self._scan_pairs(stage, pool, event, observation)
+            else:
+                accepted = self._scan_kernel(stage, pool, view, event,
+                                             observation)
+            for partial in accepted:
+                if stage.is_kleene:
+                    base = dict(partial.binding)
+                    base[stage.item.name] = (event,)
+                    extended = PartialMatch(
+                        binding=base,
+                        earliest=min(partial.earliest, event.timestamp),
+                        latest=max(partial.latest, event.timestamp),
+                    )
+                else:
+                    extended = partial.extended(stage.item.name, event)
+                additions.append((stage.index + 1, extended))
         for level, partial in additions:
             if level < len(self._pools):
                 pool = self._pools[level]
-                if len(pool) < self._pool_cap:
+                if len(pool) < _POOL_CAP:
                     pool.append(partial)
+
+    def _scan_pairs(self, stage: Stage, pool: list[PartialMatch],
+                    event: Event, observation: StageObservation
+                    ) -> list[PartialMatch]:
+        """The partials of *pool* accepting *event*, pair by pair."""
+        window = self.nfa.window
+        accepted = []
+        for partial in pool:
+            if not partial.fits_with(event, window):
+                continue
+            if not seq_order_allows(partial, self.nfa.stages, stage.index,
+                                    event):
+                continue
+            observation.comparisons += 1
+            if stage.accepts(partial, event):
+                observation.successes += 1
+                accepted.append(partial)
+        return accepted
+
+    def _scan_kernel(self, stage: Stage, pool: list[PartialMatch], view,
+                     event: Event, observation: StageObservation
+                     ) -> list[PartialMatch]:
+        """:meth:`_scan_pairs` through the stage's kernel: the same
+        candidates, counted before any condition runs, and the same
+        verdicts, in pool order."""
+        view.sync(pool)
+        candidates = view.candidate_indices(event, self.nfa.window)
+        observation.comparisons += len(candidates)
+        if not candidates:
+            return []
+        accepted = self._kernels[stage.index].accepts_over_matches(
+            event, view, candidates,
+            scalar=lambda i: stage.accepts(pool[i], event),
+        )
+        observation.successes += len(accepted)
+        return [pool[i] for i in accepted]
 
 
 def estimate_statistics(

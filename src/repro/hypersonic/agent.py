@@ -405,25 +405,23 @@ class AgentCore:
         return receipt
 
     def _match_columns(self, owner: int, fragment: list[PartialMatch]):
-        from repro.core.vectorized import MatchColumns
-
-        version = self.match_buffer.version(owner)
         columns = self._mb_columns.get(owner)
-        if columns is None or columns.version != version:
+        if columns is None:
+            from repro.core.vectorized import MatchColumns
+
             columns = MatchColumns(
-                self._vector_kernel, version, self.stages, self.stage_index
+                self._vector_kernel, self.stages, self.stage_index
             )
             self._mb_columns[owner] = columns
         columns.sync(fragment)
         return columns
 
     def _event_columns(self, owner: int, fragment: list[Event]):
-        from repro.core.vectorized import EventColumns
-
-        version = self.event_buffer.version(owner)
         columns = self._eb_columns.get(owner)
-        if columns is None or columns.version != version:
-            columns = EventColumns(self._vector_kernel, version)
+        if columns is None:
+            from repro.core.vectorized import EventColumns
+
+            columns = EventColumns(self._vector_kernel)
             self._eb_columns[owner] = columns
         columns.sync(fragment)
         return columns
@@ -769,9 +767,10 @@ class AgentCore:
         if self._mb_frag_min[owner] >= horizon:
             return
         if owner in self._mb_unordered:
+            keep = [partial.earliest >= horizon for partial in fragment]
             kept = []
-            for partial in fragment:
-                if partial.earliest >= horizon:
+            for partial, kept_it in zip(fragment, keep):
+                if kept_it:
                     kept.append(partial)
                 else:
                     self.agb.release_match(partial)
@@ -783,9 +782,11 @@ class AgentCore:
             cut = bisect_left(fragment, horizon, key=_earliest)
             for partial in islice(fragment, cut):
                 self.agb.release_match(partial)
-            kept = fragment[cut:]
+            keep = slice(cut, None)
+            kept = fragment[keep]
             kept_min = kept[0].earliest if kept else None
-        self.match_buffer.replace_fragment(owner, kept)
+        self._replace_fragment(self.match_buffer, self._mb_columns, owner,
+                               kept, keep)
         if kept_min is None:
             self._mb_frag_min.pop(owner, None)
         else:
@@ -798,7 +799,29 @@ class AgentCore:
         cut = bisect_left(fragment, horizon, key=_timestamp)
         for event in islice(fragment, cut):
             self.agb.release_event(event)
-        self.event_buffer.replace_fragment(owner, fragment[cut:])
+        keep = slice(cut, None)
+        self._replace_fragment(self.event_buffer, self._eb_columns, owner,
+                               fragment[keep], keep)
+
+    @staticmethod
+    def _replace_fragment(buffer: FragmentedBuffer, views: dict, owner: int,
+                          kept: list, keep) -> None:
+        """Install a purge on one fragment and on its columnar view.
+
+        *keep* names the surviving entries, a slice for a prefix cut or a
+        boolean mask, and the view drops the same rows in place, so a
+        buffered history is centered once however many purges it
+        survives.  A purge that empties the fragment deletes it, and the
+        view goes with it.
+        """
+        buffer.replace_fragment(owner, kept)
+        view = views.get(owner)
+        if view is None:
+            return
+        if kept:
+            view.retain(keep)
+        else:
+            del views[owner]
 
     # ------------------------------------------------------------------ #
     # Introspection                                                      #

@@ -37,6 +37,20 @@ def make_stream(
     return events
 
 
+@pytest.fixture(params=["numpy", "fallback"])
+def backend(request, monkeypatch):
+    """Run a test once on the numpy kernels and once on the pure-Python
+    fallback, forced by nulling the module's ``np`` handle."""
+    import repro.core.vectorized as vec
+
+    if request.param == "numpy":
+        if not vec.have_numpy():
+            pytest.skip("numpy not importable")
+    else:
+        monkeypatch.setattr(vec, "np", None)
+    return request.param
+
+
 @pytest.fixture
 def stream() -> list[Event]:
     return make_stream()

@@ -17,14 +17,16 @@ import math
 
 import pytest
 
-from repro.core import Event, EventType, Pattern
-from repro.core.conditions import UnaryCondition
+from repro.core import Event, EventType, Pattern, vectorized
+from repro.core.conditions import AttributeCondition, UnaryCondition
 from repro.core.matches import PartialMatch, match_key
 from repro.core.nfa import compile_pattern, seq_order_allows
+from repro.datasets.stocks import StockConfig, generate_stock_stream
 from repro.hypersonic import fusion
 from repro.hypersonic.agent import AgentCore
 from repro.hypersonic.items import ItemKind, Receipt, WorkItem
 from repro.simulator import simulate
+from repro.workloads.queries import stock_sequence_query
 
 from tests.conftest import make_stream
 from tests.make_sim_goldens import result_payload
@@ -201,12 +203,14 @@ class FullScanAgentCore(AgentCore):
         if not fragment:
             self._mb_frag_min.pop(owner, None)
             return
+        keep = [p.timestamp >= horizon for p in fragment]
         kept = [p for p in fragment if p.timestamp >= horizon]
         for partial in fragment:
             if partial.timestamp < horizon:
                 self.agb.release_match(partial)
         if len(kept) != len(fragment):
-            self.match_buffer.replace_fragment(owner, kept)
+            self._replace_fragment(self.match_buffer, self._mb_columns,
+                                   owner, kept, keep)
         if kept:
             self._mb_frag_min[owner] = min(p.timestamp for p in kept)
         else:
@@ -216,12 +220,14 @@ class FullScanAgentCore(AgentCore):
         fragment = self.event_buffer._fragments.get(owner)
         if not fragment:
             return
+        keep = [e.timestamp >= horizon for e in fragment]
         kept = [e for e in fragment if e.timestamp >= horizon]
         for event in fragment:
             if event.timestamp < horizon:
                 self.agb.release_event(event)
         if len(kept) != len(fragment):
-            self.event_buffer.replace_fragment(owner, kept)
+            self._replace_fragment(self.event_buffer, self._eb_columns,
+                                   owner, kept, keep)
 
 
 def ev(type_name: str, timestamp: float, event_id: int | None = None,
@@ -513,3 +519,85 @@ def test_simulator_results_equal_full_scan_results(monkeypatch, name, seed,
     monkeypatch.setattr(fusion, "AgentCore", FullScanAgentCore)
     assert run() == indexed
     assert indexed["matches"] > 0
+
+
+# --------------------------------------------------------------------- #
+# Columnar views follow their fragments through purges                   #
+# --------------------------------------------------------------------- #
+
+
+def vector_agent(window: float = 1.0) -> AgentCore:
+    """A vector-mode agent on stage 1 of ``SEQ(A, B)`` with an attribute
+    join, which the stage kernel evaluates."""
+    pattern = Pattern.sequence(
+        ["A", "B"], window=window,
+        condition=AttributeCondition("p1", "x", "<=", "p2", "x"),
+    )
+    agent = agents(pattern)[0]
+    assert agent.enable_vector_mode()
+    return agent
+
+
+def test_purge_that_empties_a_fragment_drops_its_view():
+    """An emptied fragment is deleted, and its columnar view with it: the
+    view would otherwise keep every purged row until the run ends."""
+    agent = vector_agent()
+    for ts in (1.0, 1.2):
+        agent._store_match(PartialMatch.of("p1", ev("A", ts)), 0)
+    batch = [WorkItem(ItemKind.EVENT, ev("B", ts)) for ts in (1.5, 1.6)]
+    assert agent.process_batch(batch, 3).emitted_down
+    assert 0 in agent._mb_columns
+    late = [WorkItem(ItemKind.EVENT, ev("B", ts)) for ts in (9.0, 9.1)]
+    agent.process_batch(late, 3)
+    assert 0 not in agent.match_buffer._fragments
+    assert 0 not in agent._mb_columns
+
+    for ts in (2.0, 2.1):
+        agent._store_event(ev("B", ts), 1)
+    agent.process(WorkItem(ItemKind.MATCH, PartialMatch.of("p1", ev("A", 1.9))),
+                  4)
+    assert 1 in agent._eb_columns
+    agent.process(WorkItem(ItemKind.MATCH, PartialMatch.of("p1", ev("A", 9.5))),
+                  4)
+    assert 1 not in agent.event_buffer._fragments
+    assert 1 not in agent._eb_columns
+
+
+def test_batched_run_centres_each_buffered_history_once(monkeypatch):
+    """Batch 64 on a correlation query: ``center_history`` runs once per
+    row that enters a view.  Purges cut the views in place, so a history
+    that survives them is not centred again."""
+    rows: dict[int, tuple] = {}  # id(item) -> (item, history columns)
+    centred = []
+    syncing = []
+    center = vectorized.center_history
+
+    def counted_center(seq):
+        if syncing:
+            centred.append(seq)
+        return center(seq)
+
+    def counted(sync):
+        def wrapper(self, fragment):
+            width = sum(isinstance(column, vectorized.HistoryColumn)
+                        for column, *_ in self.op_columns)
+            for item in fragment[self.count:]:
+                rows[id(item)] = (item, width)
+            syncing.append(True)
+            try:
+                sync(self, fragment)
+            finally:
+                syncing.pop()
+        return wrapper
+
+    monkeypatch.setattr(vectorized, "center_history", counted_center)
+    for view in (vectorized.EventColumns, vectorized.MatchColumns):
+        monkeypatch.setattr(view, "sync", counted(view.sync))
+    events = generate_stock_stream(StockConfig(num_events=800, seed=3))
+    pattern = stock_sequence_query(["S0", "S1", "S2"], 40.0, events,
+                                   selectivity=0.2).pattern
+    result = simulate("hypersonic", pattern, events, num_cores=4,
+                      batch_size=64)
+    assert result.matches > 0
+    assert rows
+    assert len(centred) == sum(width for _item, width in rows.values())

@@ -21,7 +21,7 @@ from repro.baselines import (
     RREngine,
     StateParallelEngine,
 )
-from repro.core import Pattern
+from repro.core import AttributeCondition, Pattern
 from repro.costmodel import CostParameters, fit_from_trace
 from repro.hypersonic.engine import HypersonicConfig, HypersonicEngine
 from repro.obs import TraceRecorder
@@ -126,6 +126,23 @@ def test_batched_hypersonic_matches_scalar_oracle(pattern, seed, batch_size):
     events = workload(seed)
     expected = reference_keys(pattern, events)
     sim = HypersonicSimulation(pattern, NUM_UNITS, batch_size=batch_size)
+    sim.run(events)
+    assert {match.key for match in sim.matches} == expected
+
+
+@pytest.mark.parametrize("reduce", ["first", "last"])
+def test_batched_kleene_reductions_match_scalar_oracle(reduce):
+    """A condition may read a Kleene tuple's first event.  The columnar
+    views hold each tuple's last event, so such a stage must stay on the
+    scalar path."""
+    pattern = Pattern.sequence(
+        ["A", "B", "C"], window=3.0, kleene=[1],
+        condition=AttributeCondition("p2", "x", "<", "p3", "x",
+                                     reduce=reduce),
+    )
+    events = make_stream(num_events=300, seed=3, gap=0.3)
+    expected = reference_keys(pattern, events)
+    sim = HypersonicSimulation(pattern, NUM_UNITS, batch_size=16)
     sim.run(events)
     assert {match.key for match in sim.matches} == expected
 

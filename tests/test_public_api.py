@@ -3,6 +3,10 @@ error hierarchy is coherent."""
 
 import importlib
 import inspect
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -32,6 +36,25 @@ PUBLIC_MODULES = [
 def test_module_importable_and_documented(module_name):
     module = importlib.import_module(module_name)
     assert module.__doc__, f"{module_name} needs a module docstring"
+
+
+@pytest.mark.parametrize("module_name", PUBLIC_MODULES)
+def test_import_does_not_load_numpy(module_name):
+    """numpy is optional and costs about 12 MB once loaded: only the
+    batched kernels and the planner's sampler import it, when they run."""
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p]
+    )
+    code = (
+        f"import sys, {module_name}\n"
+        "loaded = sorted(name for name in sys.modules\n"
+        "                if name.split('.')[0] == 'numpy')\n"
+        "assert not loaded, loaded[:5]\n"
+    )
+    subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                   timeout=60)
 
 
 @pytest.mark.parametrize("module_name", PUBLIC_MODULES[:-1])

@@ -1,10 +1,29 @@
 """Tests for workload-statistics estimation."""
 
+import functools
+
 import pytest
 
+import repro.core.vectorized as vec
 from tests.conftest import make_stream
-from repro.core import AttributeCondition, Pattern
-from repro.costmodel import estimate_statistics, statistics_from_sample
+from repro.core import (
+    AndCondition,
+    AttributeCondition,
+    CorrelationCondition,
+    Event,
+    Pattern,
+)
+from repro.core.errors import ConditionError
+from repro.costmodel import estimate_statistics, statistics, statistics_from_sample
+from repro.datasets.sensors import SensorConfig, generate_sensor_stream
+from repro.datasets.stocks import StockConfig, generate_stock_stream
+from repro.datasets.trips import TripConfig, generate_trip_stream
+from repro.workloads.queries import (
+    stock_negation_query,
+    stock_sequence_query,
+    trip_chain_query,
+    trip_negation_query,
+)
 
 
 class TestEstimateStatistics:
@@ -86,3 +105,141 @@ class TestStatisticsFromSample:
             pattern, iter(events), sample_size=100
         )
         assert len(prefix) == 10
+
+
+# --------------------------------------------------------------------- #
+# The sampler's kernel path against its pair loop                        #
+# --------------------------------------------------------------------- #
+
+STOCK_TYPES = ["S0", "S1", "S2", "S3"]
+
+
+@functools.lru_cache(maxsize=None)
+def stock_stream() -> tuple[Event, ...]:
+    return tuple(generate_stock_stream(StockConfig(num_events=2000, seed=5)))
+
+
+@functools.lru_cache(maxsize=None)
+def trip_stream() -> tuple[Event, ...]:
+    return tuple(generate_trip_stream(TripConfig(num_trips=200, seed=5)))
+
+
+@functools.lru_cache(maxsize=None)
+def sampler_case(name: str):
+    """(pattern, sample) for one kernel-vs-loop case."""
+    if name == "stocks_corr":
+        events = stock_stream()
+        return stock_sequence_query(STOCK_TYPES, 40.0, events).pattern, events
+    if name == "stocks_negation":
+        events = stock_stream()
+        return stock_negation_query(STOCK_TYPES, 40.0, events).pattern, events
+    if name == "trips_kleene":
+        return trip_chain_query(4.0).pattern, trip_stream()
+    if name == "trips_negation":
+        return trip_negation_query(12.0).pattern, trip_stream()
+    if name == "sensors_attribute":
+        config = SensorConfig(num_events=2000, seed=5)
+        types = list(config.activities[:3])
+        condition = AndCondition((
+            AttributeCondition("p1", "distance_kitchen", "<",
+                               "p2", "distance_kitchen"),
+            AttributeCondition("p3", "distance_kitchen", ">",
+                               "p2", "distance_kitchen"),
+        ))
+        pattern = Pattern.sequence(types, window=30.0, condition=condition)
+        return pattern, tuple(generate_sensor_stream(config))
+    if name == "mixed_stage":
+        # Stage 1 holds a correlation between two attribute conditions,
+        # with the event on either side of them; the symbols are strings.
+        condition = AndCondition((
+            AttributeCondition("p2", "price", ">", "p1", "price"),
+            CorrelationCondition("p1", "p2", threshold=0.2),
+            AttributeCondition("p1", "symbol", "!=", "p2", "symbol"),
+            CorrelationCondition("p2", "p3", threshold=-0.3),
+        ))
+        pattern = Pattern.sequence(STOCK_TYPES[:3], window=40.0,
+                                   condition=condition)
+        return pattern, stock_stream()
+    if name == "tied_ids":
+        # Whole-number timestamps tie often, and ids fall in stream order,
+        # so the SEQ-order check rejects tied candidates the window admits.
+        events = tuple(
+            Event(event.type, float(int(event.timestamp)), event.attributes,
+                  event_id=10**7 - index)
+            for index, event in enumerate(make_stream(num_events=1500,
+                                                      seed=11))
+        )
+        condition = AndCondition((
+            AttributeCondition("p1", "x", "<=", "p2", "x"),
+            AttributeCondition("p2", "x", "!=", "p3", "x"),
+        ))
+        return Pattern.sequence(["A", "B", "C"], window=3.0,
+                                condition=condition), events
+    raise KeyError(name)
+
+
+SAMPLER_CASES = ["stocks_corr", "stocks_negation", "trips_kleene",
+                 "trips_negation", "sensors_attribute", "mixed_stage",
+                 "tied_ids"]
+
+
+def scan_counts(monkeypatch, pattern, sample):
+    """Estimate with the kernel path, counting its kernel scans; then
+    again with every stage on the pair loop."""
+    scans = []
+    original = vec.StageKernel.accepts_over_matches
+
+    def counted(self, *args, **kwargs):
+        scans.append(self.position)
+        return original(self, *args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(vec.StageKernel, "accepts_over_matches", counted)
+        kernel = estimate_statistics(pattern, list(sample))
+    with monkeypatch.context() as patch:
+        patch.setattr(vec, "compile_stage_kernel", lambda stage: None)
+        loop = estimate_statistics(pattern, list(sample))
+    return kernel, loop, scans
+
+
+class TestKernelSampler:
+    """The sampler scans the pools of kernel-compilable stages through
+    ``StageKernel.accepts_over_matches``; the statistics must equal the
+    pair loop's, to the bit."""
+
+    @pytest.mark.parametrize("name", SAMPLER_CASES)
+    def test_equals_pair_loop(self, monkeypatch, backend, name):
+        pattern, sample = sampler_case(name)
+        kernel, loop, scans = scan_counts(monkeypatch, pattern, sample)
+        assert scans, "no pool went through a kernel"
+        assert kernel == loop
+        assert repr(kernel) == repr(loop)
+        assert any(0.0 < s < 1.0 for s in kernel.selectivities)
+
+    def test_binding_pool_cap_drops_the_same_partials(self, monkeypatch,
+                                                      backend):
+        pattern, sample = sampler_case("stocks_corr")
+        uncapped = estimate_statistics(pattern, list(sample))
+        monkeypatch.setattr(statistics, "_POOL_CAP", 3)
+        kernel, loop, scans = scan_counts(monkeypatch, pattern, sample)
+        assert scans
+        assert kernel != uncapped, "the lowered cap does not bind"
+        assert kernel == loop
+        assert repr(kernel) == repr(loop)
+
+    def test_ragged_history_raises_on_both_paths(self, monkeypatch, backend):
+        pattern, sample = sampler_case("stocks_corr")
+        ragged = [
+            Event(event.type, event.timestamp,
+                  {**event.attributes,
+                   "history": event.attributes["history"][:-1]},
+                  event_id=event.event_id)
+            if event.type.name == "S0" and index >= 1000 else event
+            for index, event in enumerate(sample)
+        ]
+        with pytest.raises(ConditionError):
+            estimate_statistics(pattern, ragged)
+        with monkeypatch.context() as patch:
+            patch.setattr(vec, "compile_stage_kernel", lambda stage: None)
+            with pytest.raises(ConditionError):
+                estimate_statistics(pattern, ragged)

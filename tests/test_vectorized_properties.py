@@ -9,6 +9,10 @@ the ``_OPERATORS`` table.  Hypothesis drives both kernels with
 adversarial inputs — near-constant sequences, mixed magnitudes, tiny
 deviations, NaN-free float corners — under both backends (numpy and the
 pure-Python fallback, forced by nulling the module's ``np`` handle).
+
+The columnar views must follow their fragment through purges: after any
+interleaving of appends, prefix cuts and keep-mask purges, a view cut in
+place equals one built from scratch over the surviving fragment.
 """
 
 from __future__ import annotations
@@ -19,8 +23,18 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import repro.core.vectorized as vec
+from repro.core import (
+    AndCondition,
+    AttributeCondition,
+    CorrelationCondition,
+    Event,
+    EventType,
+    Pattern,
+)
 from repro.core.conditions import _OPERATORS, pearson_correlation
 from repro.core.errors import ConditionError
+from repro.core.matches import PartialMatch
+from repro.core.nfa import compile_pattern
 from repro.core.vectorized import batched_compare, batched_pearson
 
 TOLERANCE = 1e-12
@@ -52,16 +66,6 @@ def pearson_case(draw):
     query = draw(st.lists(history_values, min_size=length, max_size=length))
     rows = draw(histories_of(length))
     return query, rows
-
-
-@pytest.fixture(params=["numpy", "fallback"])
-def backend(request, monkeypatch):
-    if request.param == "numpy":
-        if not vec.have_numpy():
-            pytest.skip("numpy not importable")
-    else:
-        monkeypatch.setattr(vec, "np", None)
-    return request.param
 
 
 class TestBatchedPearson:
@@ -143,3 +147,211 @@ def test_have_numpy_reflects_handle(monkeypatch):
         assert vec.have_numpy()
     monkeypatch.setattr(vec, "np", None)
     assert not vec.have_numpy()
+
+
+# --------------------------------------------------------------------- #
+# Views purged in place against views built fresh                        #
+# --------------------------------------------------------------------- #
+
+#: Stage 1 of ``SEQ(A, B, C)``: an attribute compare, then a correlation.
+VIEW_STAGES = compile_pattern(Pattern.sequence(
+    ["A", "B", "C"], window=2.0,
+    condition=AndCondition((
+        AttributeCondition("p2", "x", "<=", "p1", "x"),
+        CorrelationCondition("p1", "p2", threshold=0.2),
+    )),
+)).stages
+VIEW_STAGE = VIEW_STAGES[1]
+VIEW_KERNEL = vec.compile_stage_kernel(VIEW_STAGE)
+VIEW_TYPES = {name: EventType(name) for name in ("A", "B")}
+
+
+@st.composite
+def view_history(draw):
+    """Mostly four-deep histories; now and then a scalar in place of a
+    list, a ragged one, or a constant (degenerate) one."""
+    shape = draw(st.integers(min_value=0, max_value=24))
+    if shape == 0:
+        return 7.0
+    if shape == 1:
+        return [1.0, 1.0, 1.0, 1.0]
+    length = 3 if shape == 2 else 4
+    return draw(st.lists(st.sampled_from([0.0, 1.0, 2.5, -1.0]),
+                         min_size=length, max_size=length))
+
+
+#: Mostly floats, which the columns compare through numpy; an int turns
+#: that off until a purge removes it.
+view_values = st.sampled_from([-1.0, 0.0, 0.5, 2.0, 1])
+
+
+@st.composite
+def view_event(draw, type_name: str, stamps=(0.0, 0.5, 1.0, 1.5, 2.5)):
+    return Event(
+        VIEW_TYPES[type_name],
+        draw(st.sampled_from(stamps)),
+        {"history": draw(view_history()), "x": draw(view_values)},
+    )
+
+
+@st.composite
+def view_row(draw, kind: str):
+    """A buffered item: a B event for an event view, else a partial with
+    an A event bound (sometimes B too, which the candidates exclude)."""
+    if kind == "events":
+        return draw(view_event("B"))
+    partial = PartialMatch.of("p1", draw(view_event("A")))
+    if draw(st.integers(min_value=0, max_value=4)) == 0:
+        partial = partial.extended("p2", draw(view_event("B")))
+    return partial
+
+
+def view_steps(kind: str):
+    return st.lists(st.one_of(
+        st.tuples(st.just("append"), st.lists(view_row(kind), min_size=1,
+                                              max_size=4)),
+        st.tuples(st.just("cut"), st.integers(min_value=0, max_value=6)),
+        st.tuples(st.just("mask"), st.lists(st.booleans(), max_size=12)),
+        st.tuples(st.just("sync"), st.none()),
+    ), max_size=24)
+
+
+def new_view(kind: str):
+    if kind == "events":
+        return vec.EventColumns(VIEW_KERNEL)
+    return vec.MatchColumns(VIEW_KERNEL, VIEW_STAGES, 1)
+
+
+def outcome(call):
+    try:
+        return call()
+    except Exception as exc:  # both views must fail alike
+        return type(exc).__name__
+
+
+def scan(kind: str, view, fragment: list, probe) -> tuple:
+    """Candidates and kernel verdicts of one probe over *view*."""
+    if kind == "events":
+        last = probe.binding["p1"]
+        candidates = view.candidate_indices(
+            probe.earliest, probe.latest, last.timestamp, last.event_id, 2.0
+        )
+        verdicts = outcome(lambda: VIEW_KERNEL.accepts_over_events(
+            probe, view, candidates,
+            scalar=lambda i: VIEW_STAGE.accepts(probe, fragment[i]),
+        ))
+    else:
+        candidates = view.candidate_indices(probe, 2.0)
+        verdicts = outcome(lambda: VIEW_KERNEL.accepts_over_matches(
+            probe, view, candidates,
+            scalar=lambda i: VIEW_STAGE.accepts(fragment[i], probe),
+        ))
+    return candidates, verdicts
+
+
+def view_columns(view) -> tuple:
+    """Every column of *view*, with the flags that pick a column's numpy
+    path (one shared history width; all values floats)."""
+    columns = []
+    for column, *_ in view.op_columns:
+        if isinstance(column, vec.HistoryColumn):
+            columns.append((column.raw, column.rows, column.norms,
+                            column._width))
+        else:
+            columns.append((column.values, column._floats))
+    if isinstance(view, vec.EventColumns):
+        rows = (view.ts, view.ids)
+    else:
+        rows = (view.earliest, view.latest, view.last_ts, view.last_id,
+                view.bound)
+    return view.count, rows, columns
+
+
+def assert_caches_mirror(view) -> None:
+    """Each cached numpy array holds the first rows of its column.  A
+    purge cuts the history matrix with its column and drops the other
+    arrays, which are rebuilt when next needed."""
+    count, rows, columns = view_columns(view)
+    if view._arrays is not None:
+        assert len(view._arrays[0]) == view._array_rows
+        for array, values in zip(view._arrays, rows):
+            assert array.tolist() == values[:len(array)]
+    for (column, *_), values in zip(view.op_columns, columns):
+        if isinstance(column, vec.HistoryColumn) and column._matrix is not None:
+            assert len(column._matrix) == column._matrix_rows
+            for cached, row in zip(column._matrix.tolist(), values[1]):
+                assert cached == (row if row is not None else [0.0] * len(cached))
+        elif isinstance(column, vec.ValueColumn) and column._array is not None:
+            assert column._array.tolist() == values[0][:len(column._array)]
+
+
+def assert_fresh(kind: str, view, fragment: list, probes: list) -> None:
+    fresh = new_view(kind)
+    fresh.sync(fragment)
+    assert view_columns(view) == view_columns(fresh)
+    assert_caches_mirror(view)
+    for probe in probes:
+        assert scan(kind, view, fragment, probe) == scan(
+            kind, fresh, fragment, probe
+        )
+
+
+def test_purge_that_ends_raggedness_rebuilds_the_matrix(backend):
+    """Four-deep rows and a scalar (a zero row of the cached matrix),
+    then a three-deep row makes the column ragged; a purge that keeps
+    only the scalar and the short row makes it three wide."""
+    column = vec.HistoryColumn()
+    column.append([1.0, 2.0, 3.0, 5.0])
+    column.append(7.0)
+    column.correlations([1.0, 2.0, 4.0, 3.0], [0])
+    column.append([1.0, 2.0, 4.0])
+    column.retain([False, True, True])
+    query = [3.0, 1.0, 2.0]
+    [value] = column.correlations(query, [1])
+    assert value == pytest.approx(pearson_correlation(query, [1.0, 2.0, 4.0]),
+                                  abs=TOLERANCE)
+
+
+class TestViewsPurgedInPlace:
+    """``retain`` must leave a view equal to one built from scratch over
+    the surviving fragment.  One view follows every step; a lazy one is
+    synced only now and then, so purges also hit a view that lags its
+    fragment."""
+
+    @pytest.mark.parametrize("kind", ["events", "matches"])
+    @settings(max_examples=80, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_equals_fresh_view(self, backend, kind, data):
+        steps = data.draw(view_steps(kind))
+        # Probes early (partials) or late (events) enough that most rows
+        # pass the SEQ-order check and reach the kernel.
+        if kind == "events":
+            probes = [PartialMatch.of("p1", data.draw(view_event("A",
+                                                                (0.0, 0.5))))
+                      for _ in range(3)]
+        else:
+            probes = [data.draw(view_event("B", (1.0, 1.5)))
+                      for _ in range(3)]
+        fragment: list = []
+        eager, lazy = new_view(kind), new_view(kind)
+        for step, arg in steps:
+            if step == "append":
+                fragment.extend(arg)
+            elif step == "sync":
+                lazy.sync(fragment)
+                assert_fresh(kind, lazy, fragment, probes)
+            else:
+                if step == "cut":
+                    keep = slice(min(arg, len(fragment)), None)
+                    fragment = fragment[keep]
+                else:
+                    keep = (arg + [True] * len(fragment))[:len(fragment)]
+                    fragment = [row for row, kept in zip(fragment, keep)
+                                if kept]
+                eager.retain(keep)
+                lazy.retain(keep)
+            eager.sync(fragment)
+            assert_fresh(kind, eager, fragment, probes)
+        lazy.sync(fragment)
+        assert_fresh(kind, lazy, fragment, probes)
