@@ -77,6 +77,18 @@ class NegationGuard:
     def trailing(self) -> bool:
         return self.before_position is None
 
+    def last_strike_time(self, binding: Mapping[str, Any], window: float,
+                         earliest: float) -> float:
+        """The latest timestamp an event that violates *binding* can have:
+        the following item's for an internal guard, ``earliest + window``
+        for a trailing one.  :meth:`violates` rejects every later event."""
+        if self.before_position is None:
+            return earliest + window
+        before = binding[self.before_position]
+        if isinstance(before, tuple):
+            before = before[0]
+        return before.timestamp
+
     def violates(self, binding: Mapping[str, Any], candidate: Event,
                  window: float, earliest: float) -> bool:
         """Does *candidate* invalidate a match with the given binding?

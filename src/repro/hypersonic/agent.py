@@ -652,22 +652,35 @@ class AgentCore:
         event.  The scan itself starts at the candidate's ``earliest``:
         a guard event must come after the guard's ``after`` event, which
         is bound no earlier than that.  ``bisect_left``, because an event
-        tied with ``after`` but with a larger id can still strike.
+        tied with ``after`` but with a larger id can still strike.  It
+        stops at the first event past every guard's
+        :meth:`~repro.core.nfa.NegationGuard.last_strike_time`, the
+        ``bisect_right`` position of the largest one: a driver that queues
+        events ahead of their partial matches buffers guard events far
+        past the candidate.
         """
         guard_events = self._guard_events
-        start = bisect_left(guard_events, extended.earliest, key=_timestamp)
-        receipt.comparisons += start
         binding = extended.binding
         window = self.window
         earliest = extended.earliest
-        for guard_event in islice(guard_events, start, None):
-            receipt.comparisons += 1
+        last = float("-inf")
+        for guard in guards:
+            bound = guard.last_strike_time(binding, window, earliest)
+            if bound > last:
+                last = bound
+        start = bisect_left(guard_events, earliest, key=_timestamp)
+        for index in range(start, len(guard_events)):
+            guard_event = guard_events[index]
+            if guard_event.timestamp > last:
+                break
             if any(
                 guard.item.event_type.name == guard_event.type.name
                 and guard.violates(binding, guard_event, window, earliest)
                 for guard in guards
             ):
+                receipt.comparisons += index + 1
                 return True
+        receipt.comparisons += len(guard_events)
         return False
 
     def _accept(self, partial: PartialMatch, receipt: Receipt) -> None:

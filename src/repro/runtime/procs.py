@@ -18,24 +18,43 @@ Topology and protocol
 ``num_procs = min(procs, num_agents)`` workers each own a contiguous agent
 slice (:func:`agent_slices`).  The parent routes each stream event to the
 process hosting the agent that consumes it (ES event, guard candidate, or
-a stage-0 seed match), piggybacking its splitter watermark on every
-message and broadcasting it periodically so idle workers still purge and
-release negation quarantines.  Workers forward partial matches to the next
-slice's inbox; the last agent's full matches ride back on a result queue
-at shutdown, together with each worker's busy spans, receipts, and
-per-agent communication counters.
+a stage-0 seed match) and buffers the routed items per inbox
+(:func:`route_batches`).  After every ``wm_interval`` stream events, and
+once for a shorter tail, it puts one ``(_BATCH, items, watermark)``
+message to every inbox, empty ones included, so idle workers still purge
+and release negation quarantines; ``_EOS`` follows the last batch.  An
+inbox holds ``ceil(queue_capacity / wm_interval)`` messages, so the bound
+stays about ``queue_capacity`` stream events' worth of routed items.  A worker transfers its
+whole pending inbox, drains its agents, and forwards the partial matches
+of that drain pass to the next slice's inbox as one
+``(_FWD, partials, floor)`` message.  The last agent's full matches ride
+back on a result queue at shutdown, together with each worker's busy
+spans, receipts, and per-agent communication counters.
 
 Determinism contract
 --------------------
 Message interleavings are racy, but the agents' streaming join evaluates
-every event/match pair exactly once regardless of arrival order, and a
-worker's local watermark only ever *lags* the splitter's eager
-watermark (it advances exclusively through parent-sourced messages, whose
-per-producer FIFO guarantees every guard candidate is enqueued before any
-watermark that passes it).  Lagging is always safe — it can only delay
-purges and quarantine releases — so the match-key set is identical to the
-sequential engine under both ``fork`` and ``spawn`` start methods; only
-span timings vary between runs.
+every event/match pair exactly once regardless of arrival order.  Two
+rules keep negation exact:
+
+* A worker's watermark only ever *lags* the splitter's eager watermark.
+  It advances only through the parent's batches, and per-producer FIFO
+  delivers every guard candidate before any batch whose watermark passes
+  it.  Lagging can only delay purges and quarantine releases.
+* A guard event is purged only once every partial match that could still
+  reach its agent is younger (the *floor*).  The partials a worker can
+  still receive are no older than its base: on worker 0 its watermark,
+  because a seed it has not transferred yet is no older than that; on a
+  later worker the floor its upstream worker last sent, and ``+inf`` after
+  that worker's ``_STOP``.  The worker's floor is the minimum of the base
+  and every local agent's :meth:`~repro.hypersonic.agent.AgentCore.local_match_floor`.
+  It is each local agent's ``global_floor``, as in the one-process
+  :class:`~repro.hypersonic.engine.HypersonicEngine`, and it goes
+  downstream with each drain pass's partials, or alone when it rose.
+
+Under these rules the match-key set is identical to the sequential engine
+under both ``fork`` and ``spawn`` start methods; only span timings vary
+between runs.
 
 Robustness
 ----------
@@ -45,9 +64,9 @@ worker (any exit path, including ``os._exit``) surfaces as a clean
 never a hang.  Workers ignore ``SIGINT``; on ``KeyboardInterrupt`` the
 parent terminates and joins all children before re-raising.  Workers are
 daemonic as a backstop: no child outlives the parent.  A parent killed
-outright (SIGKILL) runs no clean-up at all, so each worker also watches
-its parent process and exits when it is gone: on every empty inbox poll,
-and while blocked forwarding to a downstream worker that stopped reading.
+outright (SIGKILL) runs no clean-up at all, so each worker also runs a
+watchdog thread that exits the process once the parent is gone, whatever
+the worker is blocked on (:func:`_watch_parent`).
 """
 
 from __future__ import annotations
@@ -57,14 +76,15 @@ import os
 import pickle
 import queue as queue_mod
 import signal
+import threading
 import time
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from repro.core.errors import EngineError, PatternError
 from repro.core.events import Event, validate_stream_order
 from repro.core.matches import Match, PartialMatch, match_key
-from repro.core.nfa import compile_pattern
+from repro.core.nfa import ChainNFA, compile_pattern
 from repro.core.patterns import Operator, Pattern
 from repro.core.policies import resolve_matches
 from repro.costmodel.model import CostParameters, LoadModel
@@ -73,15 +93,21 @@ from repro.hypersonic.items import ItemKind, WorkItem
 from repro.obs.tracer import Tracer
 from repro.simulator.metrics import SimResult
 
-__all__ = ["ProcsPipelineEngine", "agent_slices", "partial_size"]
+__all__ = [
+    "ProcsPipelineEngine",
+    "agent_slices",
+    "partial_size",
+    "route_batches",
+]
 
 # Inbox opcodes (first tuple element).  Small strings pickle compactly.
-_EVENT = "E"   # (op, local_agent, ItemKind, event, watermark) from parent
-_SEED = "S"    # (op, partial, watermark) stage-0 seed from parent
-_FWD = "F"     # (op, partial) partial match from the upstream worker
-_WM = "W"      # (op, watermark) parent broadcast
+_BATCH = "B"   # (op, items, watermark) routed items from the parent
+_FWD = "F"     # (op, partials, floor) one drain pass of the upstream worker
 _EOS = "X"     # (op,) parent end-of-stream — watermark goes to +inf
 _STOP = "T"    # (op,) upstream worker flushed and stopped
+
+#: How long an idle worker blocks on its inbox before it runs maintenance.
+_IDLE_POLL = 0.02
 
 #: Gap (seconds) under which consecutive same-key items merge into one
 #: recorded busy span — keeps wall-clock traces compact without losing the
@@ -92,9 +118,8 @@ _SPAN_MERGE_GAP = 5e-4
 #: queue feeder after the process exits.
 _RESULT_GRACE = 3.0
 
-#: How long a worker waits on a full downstream inbox before checking that
-#: its parent is still alive.
-_FORWARD_POLL = 0.5
+#: How often a worker's watchdog checks that its parent is still alive.
+_PARENT_POLL = 0.5
 
 #: Exit status of a worker that found its parent gone.
 _ORPHANED_EXIT = 75
@@ -125,6 +150,81 @@ def partial_size(partial: PartialMatch) -> int:
     for bound in partial.binding.values():
         total += len(bound) if isinstance(bound, tuple) else 1
     return total
+
+
+def _routes(
+    nfa: ChainNFA, slices: Sequence[tuple[int, int]]
+) -> dict[str, list[tuple[int, int, ItemKind]]]:
+    """Event type name -> ``(proc, local agent, kind)`` of each consumer."""
+    stages = nfa.stages
+    num_agents = len(stages) - 1
+    routes: dict[str, list[tuple[int, int, ItemKind]]] = {
+        stages[0].event_type_name: [(0, 0, ItemKind.MATCH)],
+    }
+    for proc, (lo, hi) in enumerate(slices):
+        for global_index in range(lo, hi):
+            local = global_index - lo
+            routes.setdefault(
+                stages[global_index + 1].event_type_name, []
+            ).append((proc, local, ItemKind.EVENT))
+            guard_types = guard_type_names(
+                stages, global_index + 1, global_index == num_agents - 1
+            )
+            for type_name in guard_types:
+                routes.setdefault(type_name, []).append(
+                    (proc, local, ItemKind.GUARD)
+                )
+    return routes
+
+
+def route_batches(
+    nfa: ChainNFA,
+    slices: Sequence[tuple[int, int]],
+    stream: Iterable[Event],
+    wm_interval: int,
+) -> Iterator[tuple[int, list[tuple[int, ItemKind, object]], float]]:
+    """The parent's side of the protocol: ``(proc, items, watermark)`` for
+    each batch message it puts, in put order.
+
+    Each stream event goes to every agent that consumes it, as an
+    ``(local, kind, payload)`` item: an ES event (``ItemKind.EVENT``), a
+    guard candidate (``ItemKind.GUARD``), or, for agent 0, a stage-0 seed
+    match (``ItemKind.MATCH``, payload a :class:`PartialMatch`); ``local``
+    is the agent's index in its worker's slice.  Items keep stream order
+    per inbox.  After every *wm_interval* stream events, and once after a
+    shorter tail, every inbox gets one batch, empty or not, stamped with
+    the largest timestamp routed so far.  The stream is in timestamp
+    order, so no later batch holds an item that watermark has passed.
+    """
+    stage0 = nfa.stages[0]
+    seed_position = stage0.item.name
+    empty = PartialMatch.empty()
+    routes = _routes(nfa, slices)
+    pending: list[list] = [[] for _ in slices]
+    watermark = float("-inf")
+    routed = 0
+    for event in stream:
+        if event.timestamp > watermark:
+            watermark = event.timestamp
+        for proc, local, kind in routes.get(event.type.name, ()):
+            if kind is ItemKind.MATCH:
+                if not stage0.accepts(empty, event):
+                    continue
+                pending[proc].append(
+                    (local, kind, PartialMatch.of(seed_position, event))
+                )
+            else:
+                pending[proc].append((local, kind, event))
+        routed += 1
+        if routed % wm_interval == 0:
+            # Fresh lists: a put message is pickled later, by the queue's
+            # feeder thread.
+            for proc, items in enumerate(pending):
+                yield proc, items, watermark
+            pending = [[] for _ in slices]
+    if routed % wm_interval:
+        for proc, items in enumerate(pending):
+            yield proc, items, watermark
 
 
 @dataclass(frozen=True)
@@ -199,10 +299,33 @@ class _SpanLog:
 # --------------------------------------------------------------------- #
 
 
+def _watch_parent(parent_pid: int) -> None:
+    """Exit the worker process as soon as *parent_pid* is no longer its
+    parent.
+
+    A thread, because the main thread may be blocked anywhere when the
+    parent dies: in a long drain, on a full downstream inbox, reading a
+    batch the parent was killed halfway through writing (a batch can
+    exceed ``PIPE_BUF``, up to which a pipe write is atomic), or in the
+    exit-time join of its queues' feeder threads.  Each worker holds both
+    ends of every inbox pipe, so no read or write on one of them fails
+    when the other processes are gone.  ``os._exit`` also skips that
+    join.
+    """
+    while True:
+        time.sleep(_PARENT_POLL)
+        if os.getppid() != parent_pid:
+            os._exit(_ORPHANED_EXIT)
+
+
 def _worker_main(spec: _WorkerSpec, inbox, downstream, results) -> None:
     # The parent orchestrates shutdown; a Ctrl-C must not tear workers
     # down mid-queue-write (that is what corrupts pipes and leaks locks).
     signal.signal(signal.SIGINT, signal.SIG_IGN)
+    parent_pid = spec.parent_pid if spec.parent_pid is not None \
+        else os.getppid()
+    threading.Thread(target=_watch_parent, args=(parent_pid,),
+                     daemon=True).start()
     try:
         _run_worker(spec, inbox, downstream, results)
     except BaseException as error:  # ship the failure, never hang the chain
@@ -218,25 +341,21 @@ def _worker_main(spec: _WorkerSpec, inbox, downstream, results) -> None:
 
 
 def _run_worker(spec: _WorkerSpec, inbox, downstream, results) -> None:
-    parent_pid = spec.parent_pid if spec.parent_pid is not None \
-        else os.getppid()
-
-    def exit_if_orphaned() -> None:
-        # Nobody is left to read the results; skip the queue feeders'
-        # flush at exit, which would block on pipes no one drains.
-        if os.getppid() != parent_pid:
-            os._exit(_ORPHANED_EXIT)
-
-    def forward(message) -> None:
-        while True:
-            try:
-                downstream.put(message, timeout=_FORWARD_POLL)
-                return
-            except queue_mod.Full:
-                exit_if_orphaned()
-
     nfa = compile_pattern(spec.pattern)
     watermark = [float("-inf")]
+    # The last floor the upstream worker sent; +inf once it stopped.
+    upstream_floor = [float("-inf")]
+
+    def floor() -> float:
+        """No partial match this worker holds or may still receive is
+        older (module docstring, "Determinism contract")."""
+        lowest = watermark[0] if spec.worker_index == 0 else upstream_floor[0]
+        for agent in agents:
+            local = agent.local_match_floor()
+            if local < lowest:
+                lowest = local
+        return lowest
+
     agents = [
         AgentCore(
             agent_index=global_index,
@@ -245,17 +364,26 @@ def _run_worker(spec: _WorkerSpec, inbox, downstream, results) -> None:
             window=nfa.window,
             watermark=lambda: watermark[0],
             is_last=global_index == spec.num_agents - 1,
+            global_floor=floor,
         )
         for global_index in range(spec.agent_lo, spec.agent_hi)
     ]
     if spec.batch_size > 1:
         for agent in agents:
             agent.enable_vector_mode()
+    inputs = {}
+    for local, agent in enumerate(agents):
+        inputs[local, ItemKind.EVENT] = agent.es
+        inputs[local, ItemKind.GUARD] = agent.guard_q
+        inputs[local, ItemKind.MATCH] = agent.ms
     hosts_last = spec.agent_hi == spec.num_agents
     stats = _WorkerStats()
     spans = _SpanLog(spec.trace, spec.epoch)
     matches: list[Match] = []
     clock = time.monotonic
+    # Partials for the downstream worker, sent once per drain pass.
+    outbox: list[PartialMatch] = []
+    sent_floor = float("-inf")
 
     def dispatch(local: int, receipt) -> None:
         if not receipt.emitted_down:
@@ -275,14 +403,17 @@ def _run_worker(spec: _WorkerSpec, inbox, downstream, results) -> None:
                     stats.match_ptrs_out.get(global_index, 0)
                     + partial_size(partial)
                 )
-                forward((_FWD, partial))
+            outbox.extend(receipt.emitted_down)
 
-    def transfer(local: int, kind: ItemKind, payload) -> None:
-        agent = agents[local]
-        if kind is ItemKind.GUARD:
-            agent.guard_q.push(WorkItem(ItemKind.GUARD, payload))
-        else:
-            agent.es.push(WorkItem(ItemKind.EVENT, payload))
+    def send_downstream() -> None:
+        nonlocal outbox, sent_floor
+        if downstream is None:
+            return
+        current = floor()
+        if outbox or current > sent_floor:
+            downstream.put((_FWD, outbox, current))
+            outbox = []
+            sent_floor = current
 
     eos = False
     stop = False
@@ -290,37 +421,36 @@ def _run_worker(spec: _WorkerSpec, inbox, downstream, results) -> None:
     def handle(message) -> None:
         nonlocal eos, stop
         op = message[0]
-        if op == _EVENT:
-            _, local, kind, event, wm = message
+        if op == _BATCH:
+            _, items, wm = message
+            for local, kind, payload in items:
+                inputs[local, kind].push(WorkItem(kind, payload))
+                if kind is ItemKind.MATCH:
+                    stats.match_ptrs_in[spec.agent_lo] = (
+                        stats.match_ptrs_in.get(spec.agent_lo, 0) + 1
+                    )
+                else:
+                    global_index = spec.agent_lo + local
+                    stats.events_in[global_index] = (
+                        stats.events_in.get(global_index, 0) + 1
+                    )
             if wm > watermark[0]:
                 watermark[0] = wm
-            global_index = spec.agent_lo + local
-            stats.events_in[global_index] = (
-                stats.events_in.get(global_index, 0) + 1
-            )
-            transfer(local, kind, event)
-        elif op == _SEED:
-            _, partial, wm = message
-            if wm > watermark[0]:
-                watermark[0] = wm
-            stats.match_ptrs_in[spec.agent_lo] = (
-                stats.match_ptrs_in.get(spec.agent_lo, 0) + 1
-            )
-            agents[0].ms.push(WorkItem(ItemKind.MATCH, partial))
         elif op == _FWD:
-            stats.match_ptrs_in[spec.agent_lo] = (
-                stats.match_ptrs_in.get(spec.agent_lo, 0)
-                + partial_size(message[1])
-            )
-            agents[0].ms.push(WorkItem(ItemKind.MATCH, message[1]))
-        elif op == _WM:
-            if message[1] > watermark[0]:
-                watermark[0] = message[1]
+            _, partials, upstream = message
+            for partial in partials:
+                stats.match_ptrs_in[spec.agent_lo] = (
+                    stats.match_ptrs_in.get(spec.agent_lo, 0)
+                    + partial_size(partial)
+                )
+                agents[0].ms.push(WorkItem(ItemKind.MATCH, partial))
+            upstream_floor[0] = upstream
         elif op == _EOS:
             eos = True
             watermark[0] = float("inf")
         elif op == _STOP:
             stop = True
+            upstream_floor[0] = float("inf")
 
     def drain_agent(local: int) -> bool:
         """Process everything queued at one agent; True if anything ran."""
@@ -368,23 +498,27 @@ def _run_worker(spec: _WorkerSpec, inbox, downstream, results) -> None:
                 os._exit(23)
 
     while True:
+        # After _EOS (and, downstream, _STOP) nothing more can arrive, so
+        # a finished worker never blocks on its inbox.
+        done = eos and (spec.worker_index == 0 or stop)
         message = None
-        try:
-            message = inbox.get(timeout=0.02)
-        except queue_mod.Empty:
-            exit_if_orphaned()
+        if not done:
+            try:
+                message = inbox.get(timeout=_IDLE_POLL)
+            except queue_mod.Empty:
+                pass
         if message is not None:
             handle(message)
-        # Transfer the whole pending inbox BEFORE any watermark-dependent
-        # decision: this keeps the negation quarantine sound (every
-        # striking guard routed before a watermark value is already queued
-        # when that value is observed).
-        while True:
-            try:
-                pending = inbox.get_nowait()
-            except queue_mod.Empty:
-                break
-            handle(pending)
+            # Transfer the whole pending inbox, then drain: one drain pass
+            # and one forward message per backlog.  Each batch brings the
+            # guard candidates its watermark has passed, so transferring
+            # fewer batches would be sound too.
+            while True:
+                try:
+                    pending = inbox.get_nowait()
+                except queue_mod.Empty:
+                    break
+                handle(pending)
         processed = False
         for local in range(len(agents)):
             if drain_agent(local):
@@ -394,6 +528,7 @@ def _run_worker(spec: _WorkerSpec, inbox, downstream, results) -> None:
             # Idle: release quarantines whose point the watermark passed.
             for local in range(len(agents)):
                 dispatch(local, agents[local].maintenance())
+        send_downstream()
         if done and not processed:
             break
 
@@ -411,7 +546,8 @@ def _run_worker(spec: _WorkerSpec, inbox, downstream, results) -> None:
         dispatch(local, receipt)
         drain_agent(local)
     if downstream is not None:
-        forward((_STOP,))
+        send_downstream()
+        downstream.put((_STOP,))
     spans.close()
     results.put((
         "done", spec.worker_index, matches if hosts_last else None,
@@ -512,8 +648,11 @@ class ProcsPipelineEngine:
         epoch = time.monotonic()
         self._record_plan(stream)
 
+        # One batch message per wm_interval routed stream events: the
+        # bound stays queue_capacity events, rounded up to whole batches.
+        inbox_messages = -(-self.queue_capacity // self.wm_interval)
         inboxes = [
-            context.Queue(maxsize=self.queue_capacity)
+            context.Queue(maxsize=inbox_messages)
             for _ in range(num_procs)
         ]
         results = context.Queue()
@@ -575,59 +714,12 @@ class ProcsPipelineEngine:
             0.0, [1] * self.num_agents, loads, "procs", features=features,
         )
 
-    def _build_routes(self, slices) -> dict[str, list]:
-        placement: dict[int, tuple[int, int]] = {}
-        for proc, (lo, hi) in enumerate(slices):
-            for global_index in range(lo, hi):
-                placement[global_index] = (proc, global_index - lo)
-        stages = self.nfa.stages
-        routes: dict[str, list] = {}
-        routes.setdefault(stages[0].event_type_name, []).append(
-            (_SEED, 0, 0)
-        )
-        for global_index in range(self.num_agents):
-            proc, local = placement[global_index]
-            stage = stages[global_index + 1]
-            routes.setdefault(stage.event_type_name, []).append(
-                (_EVENT, proc, local)
-            )
-            guard_types = guard_type_names(
-                stages, global_index + 1,
-                global_index == self.num_agents - 1,
-            )
-            for type_name in guard_types:
-                routes.setdefault(type_name, []).append(
-                    ("G", proc, local)
-                )
-        return routes
-
     def _route(self, stream, slices, inboxes, workers, deadline,
                results) -> None:
-        stage0 = self.nfa.stages[0]
-        routes = self._build_routes(slices)
-        watermark = float("-inf")
-        sent = 0
-        for event in stream:
-            if event.timestamp > watermark:
-                watermark = event.timestamp
-            for op, proc, local in routes.get(event.type.name, ()):
-                if op == _SEED:
-                    if stage0.accepts(PartialMatch.empty(), event):
-                        seed = PartialMatch.of(stage0.item.name, event)
-                        self._put(inboxes[proc], (_SEED, seed, watermark),
-                                  workers, deadline, results)
-                else:
-                    kind = ItemKind.GUARD if op == "G" else ItemKind.EVENT
-                    self._put(
-                        inboxes[proc],
-                        (_EVENT, local, kind, event, watermark),
-                        workers, deadline, results,
-                    )
-            sent += 1
-            if sent % self.wm_interval == 0:
-                for inbox in inboxes:
-                    self._put(inbox, (_WM, watermark), workers, deadline,
-                              results)
+        batches = route_batches(self.nfa, slices, stream, self.wm_interval)
+        for proc, items, watermark in batches:
+            self._put(inboxes[proc], (_BATCH, items, watermark), workers,
+                      deadline, results)
         # Broadcast end-of-stream *last worker first*: worker 0 is the only
         # one that can finish on EOS alone (the rest also need the upstream
         # _STOP), so giving it EOS last guarantees no worker exits while

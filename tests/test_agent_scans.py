@@ -20,7 +20,7 @@ import pytest
 from repro.core import Event, EventType, Pattern, vectorized
 from repro.core.conditions import AttributeCondition, UnaryCondition
 from repro.core.matches import PartialMatch, match_key
-from repro.core.nfa import compile_pattern, seq_order_allows
+from repro.core.nfa import NegationGuard, compile_pattern, seq_order_allows
 from repro.datasets.stocks import StockConfig, generate_stock_stream
 from repro.hypersonic import fusion
 from repro.hypersonic.agent import AgentCore
@@ -460,6 +460,54 @@ def test_guard_scans_equal_full_scans(trailing, strike):
     # A struck candidate is dropped; a clean one waits in quarantine
     # because the watermark has not passed its release point.
     assert bool(pair[0]._quarantine) == (strike is None)
+
+
+@pytest.mark.parametrize("trailing", [False, True])
+def test_guard_scan_stops_at_the_last_strike_time(monkeypatch, trailing):
+    """A procs worker transfers its whole inbox before it processes any of
+    it, so the guard list runs far past a new candidate.  ``violates``
+    runs only on the guard events from the candidate's ``earliest`` up to
+    the guard's last strike time (``before``'s timestamp, or ``earliest +
+    window`` for a trailing guard), ties included; the candidate is still
+    charged what the full scan charges."""
+    types = ["A", "B", "X"] if trailing else ["A", "X", "B"]
+    negated = types.index("X")
+    # No X event satisfies the guard, so nothing strikes the candidate.
+    pattern = Pattern.sequence(
+        types, window=5.0, negated=[negated],
+        condition=UnaryCondition(f"p{negated + 1}", lambda e: e["x"] == 1),
+    )
+    a, b = ev("A", 1.0, 1000), ev("B", 3.0, 2000)
+    # 0.0, 0.1, ..., 19.9: past ``before`` and past the window, with
+    # events tied with ``after`` and with both bounds.
+    guards = [ev("X", i / 10, 3000 + i) for i in range(200)]
+    last = a.timestamp + 5.0 if trailing else b.timestamp
+    within = [g.event_id for g in guards if a.timestamp <= g.timestamp <= last]
+
+    scanned: list[int] = []
+    violates = NegationGuard.violates
+
+    def counting(self, binding, candidate, window, earliest):
+        scanned.append(candidate.event_id)
+        return violates(self, binding, candidate, window, earliest)
+
+    monkeypatch.setattr(NegationGuard, "violates", counting)
+    receipts = []
+    for agent in agents(pattern):
+        scanned.clear()
+        for guard in guards:
+            agent.process(WorkItem(ItemKind.GUARD, guard), 0)
+        agent.process(WorkItem(ItemKind.MATCH, PartialMatch.of("p1", a)), 0)
+        receipts.append(agent.process(WorkItem(ItemKind.EVENT, b), 0))
+        assert len(agent._guard_events) == len(guards)
+        assert len(agent._quarantine) == 1
+        if isinstance(agent, FullScanAgentCore):
+            assert scanned == [g.event_id for g in guards]
+        else:
+            assert scanned == within
+    same_outcome(*receipts)
+    # One stage comparison, then the whole guard list.
+    assert receipts[0].comparisons == 1 + len(guards)
 
 
 def test_guard_purge_cuts_the_same_prefix():

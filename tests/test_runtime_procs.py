@@ -1,14 +1,15 @@
 """Tests for the wall-clock multiprocessing backend.
 
-Fast, deterministic pieces (slicing, pickling, constructor validation)
-run in tier-1.  Anything that spawns real worker processes or reads real
-clocks is marked ``wallclock`` and runs in CI's dedicated smoke job (3x,
-as a flakiness guard) — match-key sets are still exact there; only the
-timings vary.
+Fast, deterministic pieces (slicing, the parent's batching, pickling,
+constructor validation) run in tier-1.  Anything that spawns real worker
+processes or reads real clocks is marked ``wallclock`` and runs in CI's
+dedicated smoke job (3x, as a flakiness guard) — match-key sets are still
+exact there; only the timings vary.
 """
 
 from __future__ import annotations
 
+import math
 import multiprocessing
 import os
 import pickle
@@ -21,18 +22,27 @@ from pathlib import Path
 import pytest
 
 from tests.conftest import make_stream, reference_matches
-from repro.bench.harness import BenchScale, build_query, stock_events
+from repro.bench.harness import (
+    DEFAULT_SCALE,
+    BenchScale,
+    build_query,
+    stock_events,
+)
 from repro.core import Event, EventType, Pattern
+from repro.core.conditions import UnaryCondition
 from repro.core.errors import EngineError, PatternError
 from repro.core.matches import Match, PartialMatch
+from repro.core.nfa import compile_pattern
 from repro.datasets.stocks import StockConfig, generate_stock_stream
 from repro.datasets.trips import TripConfig, generate_trip_stream
+from repro.hypersonic.agent import guard_type_names
 from repro.hypersonic.items import ItemKind, WorkItem
 from repro.obs.tracer import TraceEvent, TraceRecorder
 from repro.runtime.procs import (
     ProcsPipelineEngine,
     agent_slices,
     partial_size,
+    route_batches,
 )
 from repro.workloads.queries import (
     sensor_sequence_query,
@@ -71,6 +81,26 @@ def bench_stock_case():
 
 CASES = {"stocks": stock_case, "trips": trip_case,
          "bench_stocks": bench_stock_case}
+
+
+def stocks_negation_case():
+    """The benchmark's 2,000-event stock stream with Q_A3: one internal
+    negation guard on a three-agent chain, so two workers split it and the
+    guard's agent sits downstream of the first worker's partials."""
+    events = generate_stock_stream(StockConfig(
+        num_events=2000,
+        symbols=tuple(f"S{i}" for i in range(8)),
+        rates=DEFAULT_SCALE.per_type_rate,
+        seed=42,
+    ))
+    spec = build_query("stocks", "negation", 4, 40.0, events,
+                       BenchScale(num_events=2000, seed=42))
+    return spec.pattern, events
+
+
+def _lag(event) -> bool:
+    time.sleep(0.0005)
+    return True
 
 
 # --------------------------------------------------------------------- #
@@ -152,6 +182,113 @@ class TestPickleRoundTrips:
         for pattern in (stock_case()[0], trip_case()[0]):
             clone = pickle.loads(pickle.dumps(pattern))
             assert clone.describe() == pattern.describe()
+
+
+def tied(events: list[Event]) -> list[Event]:
+    """*events* with timestamps on a half-unit grid: runs of equal
+    timestamps, so watermark ties are common."""
+    return [Event(e.type, math.floor(e.timestamp * 2) / 2, e.attributes)
+            for e in events]
+
+
+ROUTED_PATTERNS = {
+    # Three agents; the middle one enforces the guard.
+    "negation": Pattern.sequence(["A", "B", "X", "C", "D"], window=6.0,
+                                 negated=[2]),
+    "kleene": Pattern.sequence(["A", "B", "C"], window=5.0, kleene=[1]),
+}
+
+
+class TestRouteBatches:
+    """The parent's batching, without processes: what each inbox gets, and
+    the watermark that comes with it."""
+
+    @staticmethod
+    def expected_items(nfa, slices, stream):
+        """``(proc, local, kind, stream index)`` of every routed item, from
+        the stages' types and guards alone."""
+        stages = nfa.stages
+        num_agents = len(stages) - 1
+        host = {agent: (proc, agent - lo)
+                for proc, (lo, hi) in enumerate(slices)
+                for agent in range(lo, hi)}
+        items = []
+        for index, event in enumerate(stream):
+            name = event.type.name
+            if name == stages[0].event_type_name \
+                    and stages[0].accepts(PartialMatch.empty(), event):
+                items.append((0, 0, ItemKind.MATCH, index))
+            for agent in range(num_agents):
+                proc, local = host[agent]
+                if name == stages[agent + 1].event_type_name:
+                    items.append((proc, local, ItemKind.EVENT, index))
+                if name in guard_type_names(stages, agent + 1,
+                                            agent == num_agents - 1):
+                    items.append((proc, local, ItemKind.GUARD, index))
+        return items
+
+    @pytest.mark.parametrize("wm_interval", [64, 7])
+    @pytest.mark.parametrize("procs", [1, 2, 3])
+    @pytest.mark.parametrize("name", sorted(ROUTED_PATTERNS))
+    def test_batches(self, name, procs, wm_interval):
+        nfa = compile_pattern(ROUTED_PATTERNS[name])
+        slices = agent_slices(nfa.num_stages - 1, procs)
+        stream = tied(make_stream(num_events=1949, seed=5))
+        position = {event.event_id: index
+                    for index, event in enumerate(stream)}
+        messages = list(route_batches(nfa, slices, stream, wm_interval))
+
+        # One message per inbox per tick, empty or not: every
+        # wm_interval events and once for the tail (1,949 events at 64
+        # make 31 ticks).
+        ticks = -(-len(stream) // wm_interval)
+        assert [proc for proc, _, _ in messages] \
+            == list(range(len(slices))) * ticks
+        for tick in range(ticks):
+            seen = stream[:(tick + 1) * wm_interval]
+            for proc, _, watermark in \
+                    messages[tick * len(slices):(tick + 1) * len(slices)]:
+                assert watermark == max(e.timestamp for e in seen)
+
+        seed_position = nfa.stages[0].item.name
+
+        def routed_event(kind, payload):
+            if kind is ItemKind.MATCH:
+                event = payload.binding[seed_position]
+                assert payload == PartialMatch.of(seed_position, event)
+                return event
+            return payload
+
+        got = [
+            (proc, local, kind, position[routed_event(kind, payload).event_id])
+            for proc, items, _ in messages
+            for local, kind, payload in items
+        ]
+        # Every routed (event, agent, role) exactly once ...
+        want = self.expected_items(nfa, slices, stream)
+        assert len(got) == len(set(got)) == len(want)
+        assert set(got) == set(want)
+        for proc in range(len(slices)):
+            inbox = [(
+                [routed_event(kind, payload) for _, kind, payload in items],
+                watermark,
+            ) for to, items, watermark in messages if to == proc]
+            # ... in stream order per inbox.
+            order = [position[e.event_id] for events, _ in inbox
+                     for e in events]
+            assert order == sorted(order)
+            previous = float("-inf")
+            for events, watermark in inbox:
+                stamps = [e.timestamp for e in events]
+                # A batch's watermark covers the batch and never falls.
+                assert all(ts <= watermark for ts in stamps)
+                assert watermark >= previous
+                # No item, guard candidates included, comes after a
+                # watermark that passed it.  Ties with the watermark may
+                # follow: a quarantine waits until the watermark is past
+                # its release point.
+                assert all(ts >= previous for ts in stamps)
+                previous = watermark
 
 
 class TestConstructorValidation:
@@ -244,6 +381,43 @@ class TestDifferential:
         events = make_stream(num_events=250, seed=8)
         want = {m.key for m in reference_matches(pattern, events)}
         engine = ProcsPipelineEngine(pattern, procs=2)
+        got = {m.key for m in engine.run(events, timeout=120.0)}
+        assert got == want
+
+    @pytest.mark.parametrize("batch,method", [
+        pytest.param(batch, method, id=f"batch{batch}-{method}")
+        for batch in (1, 64)
+        for method in ("fork", "spawn")
+    ])
+    def test_stocks_negation_parity(self, batch, method):
+        # The parent routes events to the guard's worker far ahead of the
+        # partial matches the first worker forwards; the guard events
+        # those late partials need must still be buffered.
+        if method not in multiprocessing.get_all_start_methods():
+            pytest.skip(f"start method {method} unavailable")
+        pattern, events = stocks_negation_case()
+        want = {m.key for m in reference_matches(pattern, events)}
+        engine = ProcsPipelineEngine(
+            pattern, procs=2, batch_size=batch, start_method=method,
+        )
+        got = {m.key for m in engine.run(events, timeout=120.0)}
+        assert got == want
+
+    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                        reason="the lagging predicate is a closure")
+    @pytest.mark.parametrize("batch", (1, 64))
+    def test_negation_parity_with_lagging_upstream(self, batch):
+        # Every B comparison sleeps, so worker 0 always lags the parent
+        # and worker 1 sees its guard events long before the partials.
+        pattern = Pattern.sequence(
+            ["A", "B", "X", "C"], window=6.0, negated=[2],
+            condition=UnaryCondition("p2", _lag),
+        )
+        events = make_stream(num_events=600, seed=5)
+        want = {m.key for m in reference_matches(pattern, events)}
+        engine = ProcsPipelineEngine(
+            pattern, procs=2, batch_size=batch, start_method="fork",
+        )
         got = {m.key for m in engine.run(events, timeout=120.0)}
         assert got == want
 
@@ -343,6 +517,21 @@ class TestRobustness:
             for pid in workers:
                 if _running(pid):
                     os.kill(pid, signal.SIGKILL)
+
+    @pytest.mark.skipif(
+        not Path("/proc/self/stat").exists()
+        or "fork" not in multiprocessing.get_all_start_methods(),
+        reason="needs /proc and the fork start method",
+    )
+    def test_worker_exits_mid_backlog_when_parent_is_killed(self,
+                                                            monkeypatch):
+        # Default-sized inboxes: the slow downstream worker has taken in
+        # batches worth seconds of work when the parent dies, so it must
+        # notice between items, not only once its inbox runs dry.
+        monkeypatch.setitem(globals(), "ORPHAN_RUN", ORPHAN_RUN.replace(
+            "queue_capacity=8", "queue_capacity=1024"
+        ))
+        self.test_workers_exit_when_parent_is_killed("p3", "0.002")
 
     def test_worker_crash_raises_clean_error(self):
         pattern, events = stock_case()
