@@ -18,13 +18,17 @@ The public classes form a small algebra:
 Each condition reports which pattern positions it ``depends_on`` so the NFA
 compiler can attach it to the earliest state at which all of its positions
 are bound — conditions are thus verified as early as possible, exactly like
-the per-state predicate placement the paper assumes.
+the per-state predicate placement the paper assumes.  The compiler then
+turns each placed condition into a *check* (:meth:`Condition.compile_check`)
+that reads the event being bound directly, so a stage never copies its
+binding to evaluate a candidate.
 """
 
 from __future__ import annotations
 
 import abc
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping, Sequence
 
@@ -42,14 +46,21 @@ __all__ = [
     "OrCondition",
     "NotCondition",
     "CorrelationCondition",
+    "CenteredHistories",
     "KLEENE_REDUCTIONS",
     "kleene_representative",
+    "center_history",
+    "centered_pearson",
     "pearson_correlation",
 ]
 
 # A binding maps pattern position name -> the event(s) bound there.  Kleene
 # positions bind a tuple of events; plain positions bind a single event.
 Binding = Mapping[str, Any]
+
+#: A compiled condition: ``check(binding, event)`` judges binding *event*
+#: at the position the check was compiled for (Condition.compile_check).
+Check = Callable[[Binding, Event], bool]
 
 
 class Condition(abc.ABC):
@@ -67,6 +78,28 @@ class Condition(abc.ABC):
         engine calls this; evaluating with missing positions raises
         ``KeyError`` by design.
         """
+
+    def compile_check(self, position: str,
+                      histories: "CenteredHistories") -> Check:
+        """Compile this condition for the stage that binds *position*.
+
+        The result, ``check(binding, event)``, returns what
+        ``evaluate({**binding, position: event})`` returns, or raises the
+        same exception; *event* is the single event being bound.  This
+        implementation does exactly that, so user-defined conditions work
+        unchanged.  :class:`AttributeCondition` and
+        :class:`CorrelationCondition` override it to read *event* directly
+        and reduce a Kleene tuple only where one is bound; a subclass of
+        either that overrides ``evaluate`` gets this generic check, so its
+        ``evaluate`` is still the one called.  *histories* is the stage's
+        table of centered histories, which its correlation checks share.
+        """
+        evaluate = self.evaluate
+
+        def check(binding: Binding, event: Event) -> bool:
+            return evaluate({**binding, position: event})
+
+        return check
 
     def __and__(self, other: "Condition") -> "AndCondition":
         return AndCondition((self, other))
@@ -197,13 +230,29 @@ class PairwiseCondition(Condition):
         return f"PairwiseCondition({self.name}:{self.left},{self.right})"
 
 
+def _bound_side(condition: "AttributeCondition | CorrelationCondition",
+                base: type, position: str) -> str | None:
+    """The bound side of *condition*, of built-in class *base*, compiled
+    for the stage binding *position*.  ``None`` (compile to the generic
+    check) unless exactly one side is *position*, or when the condition's
+    class overrides ``evaluate``, which a direct check would bypass."""
+    if type(condition).evaluate is not base.evaluate:
+        return None
+    left, right = condition.left, condition.right
+    if left == position and right != position:
+        return right
+    if right == position and left != position:
+        return left
+    return None
+
+
 _OPERATORS: dict[str, Callable[[Any, Any], bool]] = {
-    "<": lambda a, b: a < b,
-    "<=": lambda a, b: a <= b,
-    ">": lambda a, b: a > b,
-    ">=": lambda a, b: a >= b,
-    "==": lambda a, b: a == b,
-    "!=": lambda a, b: a != b,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
+    "==": operator.eq,
+    "!=": operator.ne,
 }
 
 
@@ -241,12 +290,44 @@ class AttributeCondition(Condition):
             lhs = left_event[self.left_attribute]
             rhs = right_event[self.right_attribute]
         except KeyError as exc:
-            raise ConditionError(
-                f"missing attribute {exc} on event while evaluating "
-                f"{self.left}.{self.left_attribute} {self.operator} "
-                f"{self.right}.{self.right_attribute}"
-            ) from exc
+            raise self._missing(exc) from exc
         return _OPERATORS[self.operator](lhs, rhs)
+
+    def compile_check(self, position: str,
+                      histories: "CenteredHistories") -> Check:
+        other = _bound_side(self, AttributeCondition, position)
+        if other is None:
+            return super().compile_check(position, histories)
+        event_is_left = other == self.right
+        compare = _OPERATORS[self.operator]
+        left_attribute, right_attribute = self.left_attribute, self.right_attribute
+        reduce, missing = self.reduce, self._missing
+
+        def check(binding: Binding, event: Event) -> bool:
+            bound = binding[other]
+            if isinstance(bound, tuple):
+                bound = kleene_representative(bound, reduce)
+            if event_is_left:
+                left_event, right_event = event, bound
+            else:
+                left_event, right_event = bound, event
+            # Left first, as in evaluate, so a binding missing both
+            # attributes names the same one.
+            try:
+                lhs = left_event[left_attribute]
+                rhs = right_event[right_attribute]
+            except KeyError as exc:
+                raise missing(exc) from exc
+            return compare(lhs, rhs)
+
+        return check
+
+    def _missing(self, exc: KeyError) -> ConditionError:
+        return ConditionError(
+            f"missing attribute {exc} on event while evaluating "
+            f"{self.left}.{self.left_attribute} {self.operator} "
+            f"{self.right}.{self.right_attribute}"
+        )
 
     def __repr__(self) -> str:
         return (
@@ -345,12 +426,16 @@ def pearson_correlation(xs: Sequence[float], ys: Sequence[float]) -> float:
     Returns 0.0 when either sequence is constant, mirroring the convention
     used for the stock-history predicate: a flat price history correlates
     with nothing.
+
+    :func:`center_history` and :func:`centered_pearson` split this into
+    one pass per history and one per pair, with the same operations in
+    the same order, so ``centered_pearson(center_history(xs),
+    center_history(ys))`` is bit-identical to it.  It stays one fused pass
+    because it is the cheaper form when each pair is seen once.
     """
     n = len(xs)
     if n != len(ys):
-        raise ConditionError(
-            f"correlation needs equal-length sequences, got {n} and {len(ys)}"
-        )
+        raise _length_mismatch(xs, ys)
     if n < 2:
         return 0.0
     mean_x = sum(xs) / n
@@ -370,6 +455,100 @@ def pearson_correlation(xs: Sequence[float], ys: Sequence[float]) -> float:
     # push it a hair past the mathematical bound of +/-1.
     value = cov / (math.sqrt(sxx) * math.sqrt(syy))
     return max(-1.0, min(1.0, value))
+
+
+def _length_mismatch(xs: Sequence[float], ys: Sequence[float]) -> ConditionError:
+    return ConditionError(
+        f"correlation needs equal-length sequences, got {len(xs)} and {len(ys)}"
+    )
+
+
+def center_history(seq: Sequence[float]) -> tuple[list[float], float] | None:
+    """Center *seq* as :func:`pearson_correlation` does: its deviations
+    from the mean and the root of their sum of squares.  ``None`` when a
+    correlation with *seq* is degenerate (shorter than two, or constant),
+    which :func:`pearson_correlation` reports as 0.0.
+    """
+    n = len(seq)
+    if n < 2:
+        return None
+    mean = sum(seq) / n
+    centered = [x - mean for x in seq]
+    sxx = 0.0
+    for d in centered:
+        sxx += d * d
+    if sxx == 0.0:
+        return None
+    return centered, math.sqrt(sxx)
+
+
+def centered_pearson(left: tuple[list[float], float],
+                     right: tuple[list[float], float]) -> float:
+    """:func:`pearson_correlation` of two equal-length histories given as
+    :func:`center_history` returned them (neither ``None``), bit for bit.
+
+    The compiled correlation check and the batched kernel's pure-Python
+    fallback both correlate through this function.
+    """
+    xs, x_norm = left
+    ys, y_norm = right
+    cov = 0.0
+    for dx, dy in zip(xs, ys):
+        cov += dx * dy
+    value = cov / (x_norm * y_norm)
+    return max(-1.0, min(1.0, value))
+
+
+class CenteredHistories:
+    """Centered histories of recently bound events, keyed by ``id(history)``.
+
+    A compiled correlation check centers each side's history once and finds
+    it here afterwards.  :func:`~repro.core.nfa.compile_pattern` gives each
+    stage and each negation guard a table of its own: in the agent engines
+    a stage is one agent's, and agents can run windows apart, so a shared
+    table would expire what a lagging agent still reads.  Histories are
+    treated as immutable, like the events that carry them.
+
+    An entry holds the history itself, so its id stays unique while the
+    entry lives, and a lookup also checks identity.  It also holds the
+    timestamp of the event that carried the history.  Entries live about
+    one *window*: once the newest centered event is more than two windows
+    past :attr:`floor`, the floor moves to one window behind it and older
+    entries are dropped, and a history older than the floor is centered
+    but not kept.  So no entry is ever more than two windows older than
+    the newest centered event (:attr:`newest`).
+    """
+
+    __slots__ = ("window", "entries", "newest", "floor")
+
+    def __init__(self, window: float) -> None:
+        self.window = window
+        #: id(history) -> (history, center_history(history), timestamp)
+        self.entries: dict[int, tuple] = {}
+        self.newest = -math.inf
+        self.floor = -math.inf
+
+    def center(self, history: Sequence[float],
+               timestamp: float) -> tuple[list[float], float] | None:
+        """:func:`center_history` of *history*, carried by an event at
+        *timestamp*, centered at most once while its entry lives."""
+        entry = self.entries.get(id(history))
+        if entry is not None and entry[0] is history:
+            return entry[1]
+        centered = center_history(history)
+        if timestamp > self.newest:
+            self.newest = timestamp
+            if timestamp - self.floor > 2 * self.window:
+                self._expire()
+        if timestamp >= self.floor:
+            self.entries[id(history)] = (history, centered, timestamp)
+        return centered
+
+    def _expire(self) -> None:
+        self.floor = floor = self.newest - self.window
+        entries = self.entries
+        for key in [key for key, entry in entries.items() if entry[2] < floor]:
+            del entries[key]
 
 
 @dataclass(frozen=True)
@@ -396,10 +575,63 @@ class CorrelationCondition(Condition):
     def evaluate(self, binding: Binding) -> bool:
         left_event = kleene_representative(binding[self.left], self.reduce)
         right_event = kleene_representative(binding[self.right], self.reduce)
-        corr = pearson_correlation(
-            left_event[self.attribute], right_event[self.attribute]
+        try:
+            xs = left_event[self.attribute]
+            ys = right_event[self.attribute]
+        except KeyError as exc:
+            raise self._missing(exc) from exc
+        return pearson_correlation(xs, ys) > self.threshold
+
+    def compile_check(self, position: str,
+                      histories: CenteredHistories) -> Check:
+        """The check centers each history once in *histories* and
+        correlates the pair with :func:`centered_pearson`, the arithmetic
+        of :func:`pearson_correlation`."""
+        other = _bound_side(self, CorrelationCondition, position)
+        if other is None:
+            return super().compile_check(position, histories)
+        event_is_left = other == self.right
+        attribute, threshold = self.attribute, self.threshold
+        reduce, missing = self.reduce, self._missing
+        # The hit path reads the table inline: it is most calls.
+        lookup, center = histories.entries.get, histories.center
+
+        def check(binding: Binding, event: Event) -> bool:
+            bound = binding[other]
+            if isinstance(bound, tuple):
+                bound = kleene_representative(bound, reduce)
+            if event_is_left:
+                left_event, right_event = event, bound
+            else:
+                left_event, right_event = bound, event
+            try:
+                xs = left_event[attribute]
+                ys = right_event[attribute]
+            except KeyError as exc:
+                raise missing(exc) from exc
+            if len(xs) != len(ys):
+                raise _length_mismatch(xs, ys)
+            # Left before right, as pearson_correlation centers them.
+            entry = lookup(id(xs))
+            if entry is not None and entry[0] is xs:
+                left = entry[1]
+            else:
+                left = center(xs, left_event.timestamp)
+            entry = lookup(id(ys))
+            if entry is not None and entry[0] is ys:
+                right = entry[1]
+            else:
+                right = center(ys, right_event.timestamp)
+            if left is None or right is None:
+                return 0.0 > threshold
+            return centered_pearson(left, right) > threshold
+
+        return check
+
+    def _missing(self, exc: KeyError) -> ConditionError:
+        return ConditionError(
+            f"missing attribute {exc} on event while evaluating {self!r}"
         )
-        return corr > self.threshold
 
     def __repr__(self) -> str:
         return f"(Corr({self.left},{self.right}) > {self.threshold:g})"

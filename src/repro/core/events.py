@@ -99,6 +99,21 @@ class Event:
         """Stream order: by timestamp, then arrival sequence."""
         return (self.timestamp, self.event_id) < (other.timestamp, other.event_id)
 
+    # Pickle state as a plain tuple: the procs backend unpickles every
+    # event it routes, and the dataclass default looks up fields() per
+    # object.
+    def __getstate__(self) -> tuple:
+        return (self.type, self.timestamp, self.attributes, self.event_id,
+                self.payload_size)
+
+    def __setstate__(self, state: tuple) -> None:
+        setattr_ = object.__setattr__
+        setattr_(self, "type", state[0])
+        setattr_(self, "timestamp", state[1])
+        setattr_(self, "attributes", state[2])
+        setattr_(self, "event_id", state[3])
+        setattr_(self, "payload_size", state[4])
+
     def __repr__(self) -> str:
         return (
             f"Event({self.type.name}@{self.timestamp:g}#{self.event_id})"

@@ -99,6 +99,17 @@ class PartialMatch:
         """The paper's partial-match timestamp: its earliest event's."""
         return self.earliest
 
+    # Pickle state as a plain tuple, as for Event: procs workers forward
+    # and unpickle partial matches.
+    def __getstate__(self) -> tuple:
+        return (self.binding, self.earliest, self.latest)
+
+    def __setstate__(self, state: tuple) -> None:
+        setattr_ = object.__setattr__
+        setattr_(self, "binding", state[0])
+        setattr_(self, "earliest", state[1])
+        setattr_(self, "latest", state[2])
+
     def __contains__(self, position: str) -> bool:
         return position in self.binding
 

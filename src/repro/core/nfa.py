@@ -33,6 +33,11 @@ Each conjunct of the pattern condition is attached to the earliest stage at
 which all positions it reads are bound — the standard "verify as early as
 possible" placement the paper's state selectivity ``s_i`` refers to.
 Conjuncts involving a negated position move into that position's guard.
+Each stage and guard compiles its conditions once, into checks that read
+the event being bound directly (:meth:`Condition.compile_check`), and
+keeps its own table of centered histories
+(:class:`~repro.core.conditions.CenteredHistories`) for its correlation
+checks.
 """
 
 from __future__ import annotations
@@ -40,7 +45,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
-from repro.core.conditions import Condition
+from repro.core.conditions import CenteredHistories, Check, Condition
 from repro.core.errors import PatternError
 from repro.core.events import Event
 from repro.core.matches import PartialMatch
@@ -66,12 +71,25 @@ class NegationGuard:
     before_position:
         Position name of the positive item immediately following, or ``None``
         for a trailing guard (negation at the end of the pattern).
+    histories:
+        The table of centered histories its correlation checks share
+        (keyword-only).
+    checks:
+        One compiled check per condition, in order
+        (:meth:`~repro.core.conditions.Condition.compile_check`).
     """
 
     item: PatternItem
     conditions: tuple[Condition, ...]
     after_position: str
     before_position: str | None
+    histories: CenteredHistories = field(kw_only=True, repr=False,
+                                         compare=False)
+    checks: tuple[Check, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "checks", _compile_checks(
+            self.conditions, self.item.name, self.histories))
 
     @property
     def trailing(self) -> bool:
@@ -116,22 +134,30 @@ class NegationGuard:
         else:
             if candidate.timestamp > earliest + window:
                 return False
-        if self.conditions:
-            probe = dict(binding)
-            probe[self.item.name] = candidate
-            if not all(cond.evaluate(probe) for cond in self.conditions):
+        for check in self.checks:
+            if not check(binding, candidate):
                 return False
         return True
 
 
 @dataclass(frozen=True)
 class Stage:
-    """One chain-NFA state: binds one positive item and checks guards."""
+    """One chain-NFA state: binds one positive item and checks guards.
+
+    ``histories`` and ``checks`` are as for :class:`NegationGuard`.
+    """
 
     index: int
     item: PatternItem
     conditions: tuple[Condition, ...]
     guards_after: tuple[NegationGuard, ...] = field(default=())
+    histories: CenteredHistories = field(kw_only=True, repr=False,
+                                         compare=False)
+    checks: tuple[Check, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "checks", _compile_checks(
+            self.conditions, self.item.name, self.histories))
 
     @property
     def is_kleene(self) -> bool:
@@ -148,9 +174,18 @@ class Stage:
         because they are cheap; condition evaluation is the modelled
         comparison cost ``c_i``.
         """
-        probe = dict(partial.binding)
-        probe[self.item.name] = event
-        return all(cond.evaluate(probe) for cond in self.conditions)
+        binding = partial.binding
+        for check in self.checks:
+            if not check(binding, event):
+                return False
+        return True
+
+
+def _compile_checks(conditions: tuple[Condition, ...], position: str,
+                    histories: CenteredHistories) -> tuple[Check, ...]:
+    return tuple(
+        condition.compile_check(position, histories) for condition in conditions
+    )
 
 
 @dataclass(frozen=True)
@@ -281,6 +316,7 @@ def compile_pattern(pattern: Pattern) -> ChainNFA:
                     before_position=(
                         next_positive.name if next_positive is not None else None
                     ),
+                    histories=CenteredHistories(pattern.window),
                 )
             )
         pending_guard_items = []
@@ -327,6 +363,7 @@ def compile_pattern(pattern: Pattern) -> ChainNFA:
             item=spec["item"],
             conditions=spec["conditions"],
             guards_after=spec["guards"],
+            histories=CenteredHistories(pattern.window),
         )
         for index, spec in enumerate(pending_specs)
     )

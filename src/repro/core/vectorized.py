@@ -5,15 +5,14 @@ conditions over a whole buffer fragment at once instead of pair by pair.
 This module supplies the three pieces it needs:
 
 * **Batched Pearson correlation.**  Histories are centered *once per
-  event* in pure Python — the mean and the sum of squared deviations are
-  computed with exactly the arithmetic of
-  :func:`repro.core.conditions.pearson_correlation`, so the per-row norms
-  are bit-identical to the scalar path.  Each candidate pair then costs a
-  single dot product over the pre-centered rows.  Because only the dot
-  product's summation order differs from the scalar accumulation, the
-  batched coefficient is within ``n * eps`` (≈ 4.5e-15 for 20-deep
-  histories) of the scalar one — far inside the 1e-12 contract the
-  property suite pins.
+  event* in pure Python by :func:`repro.core.conditions.center_history`,
+  the centering :func:`~repro.core.conditions.pearson_correlation` itself
+  uses, so the per-row norms are bit-identical to the scalar path.  Each
+  candidate pair then costs a single dot product over the pre-centered
+  rows.  Because only numpy's summation order differs from the scalar
+  accumulation, the batched coefficient is within ``n * eps`` (≈ 4.5e-15
+  for 20-deep histories) of the scalar one — far inside the 1e-12
+  contract the property suite pins.
 
 * **Exact threshold verdicts.**  Correlation *verdicts* must match the
   scalar oracle exactly, not approximately: one flipped pair changes the
@@ -33,11 +32,13 @@ This module supplies the three pieces it needs:
   purges it survives.
 
 numpy is used when importable; a hand-rolled fallback keeps the core
-dependency-free.  The fallback's dot product accumulates sequentially, so
-its correlations are *bit-identical* to the scalar oracle; the numpy path
-differs only inside the recheck band, which is resolved scalar — either
-way every verdict equals the scalar verdict, and batched runs are
-reproducible across environments.
+dependency-free.  The fallback correlates through
+:func:`~repro.core.conditions.centered_pearson`, which repeats the scalar
+oracle's arithmetic step for step, so its correlations are
+*bit-identical* to the oracle's; the numpy path differs only inside the
+recheck band, which is resolved scalar — either way every verdict equals
+the scalar verdict, and batched runs are reproducible across
+environments.
 
 Attribute comparisons (``AttributeCondition``) involve no arithmetic, only
 comparisons, so the batched path is exact by construction; values that are
@@ -47,7 +48,6 @@ the scalar operator table.
 
 from __future__ import annotations
 
-import math
 from itertools import compress
 from typing import Any, Callable, Sequence
 
@@ -57,6 +57,8 @@ from repro.core.conditions import (
     CorrelationCondition,
     TrueCondition,
     _OPERATORS,
+    center_history,
+    centered_pearson,
     pearson_correlation,
 )
 from repro.core.nfa import Stage, last_bound_event
@@ -73,7 +75,6 @@ np = _numpy
 __all__ = [
     "CORR_BAND",
     "have_numpy",
-    "center_history",
     "batched_pearson",
     "batched_compare",
     "HistoryColumn",
@@ -126,27 +127,6 @@ def _kept_rows(matrix, keep):
 # --------------------------------------------------------------------- #
 # Batched Pearson correlation                                            #
 # --------------------------------------------------------------------- #
-
-
-def center_history(seq: Sequence[float]) -> tuple[list[float], float] | None:
-    """Center *seq* exactly as the scalar Pearson does; ``None`` if the
-    correlation is degenerate (too short or constant → always 0.0).
-
-    The mean (``sum/n``) and the sum of squared deviations accumulate in
-    the same order as :func:`pearson_correlation`, so the returned norm is
-    bit-identical to the scalar ``sqrt(sxx)``.
-    """
-    n = len(seq)
-    if n < 2:
-        return None
-    mean = sum(seq) / n
-    centered = [x - mean for x in seq]
-    sxx = 0.0
-    for d in centered:
-        sxx += d * d
-    if sxx == 0.0:
-        return None
-    return centered, math.sqrt(sxx)
 
 
 def batched_pearson(
@@ -303,12 +283,8 @@ class HistoryColumn:
                     out[pos] = max(-1.0, min(1.0, corr))
                 return out
         for pos in dense:
-            row = self.rows[indices[pos]]
-            cov = 0.0
-            for a, b in zip(row, qc):
-                cov += a * b
-            value = cov / (self.norms[indices[pos]] * qnorm)
-            out[pos] = max(-1.0, min(1.0, value))
+            i = indices[pos]
+            out[pos] = centered_pearson(centered, (self.rows[i], self.norms[i]))
         return out
 
     def _dense_matrix(self):

@@ -1,12 +1,16 @@
-"""Tests for the condition algebra."""
+"""Tests for the condition algebra and its compiled checks."""
+
+from dataclasses import dataclass
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core import (
     KLEENE_REDUCTIONS,
     AggregateCondition,
     AndCondition,
     AttributeCondition,
+    Condition,
     ConditionError,
     CorrelationCondition,
     Event,
@@ -14,13 +18,19 @@ from repro.core import (
     NotCondition,
     OrCondition,
     PairwiseCondition,
+    PartialMatch,
     Pattern,
     PatternError,
     TrueCondition,
     UnaryCondition,
+    compile_pattern,
     kleene_representative,
     pearson_correlation,
 )
+from repro.core.conditions import CenteredHistories
+from repro.datasets.stocks import StockConfig, generate_stock_stream
+from repro.engine import SequentialEngine
+from repro.simulator.runner import simulate
 
 A = EventType("A")
 B = EventType("B")
@@ -123,6 +133,31 @@ class TestCorrelationCondition:
         cond = CorrelationCondition("a", "b", threshold=0.9)
         assert cond.evaluate({"a": high, "b": also_high})
         assert not cond.evaluate({"a": high, "b": low})
+
+    def test_missing_history_raises_condition_error(self):
+        # Like AttributeCondition: a ConditionError naming the condition,
+        # not a bare KeyError, from evaluate, the compiled check and every
+        # engine that evaluates the stage.
+        cond = CorrelationCondition("p1", "p2", threshold=0.5)
+        message = r"missing attribute 'history' .*\(Corr\(p1,p2\) > 0\.5\)"
+        with_history = Event(A, 0.0, {"history": (1.0, 2.0, 3.0)})
+        without = Event(B, 1.0, {"price": 1.0})
+        with pytest.raises(ConditionError, match=message):
+            cond.evaluate({"p1": with_history, "p2": without})
+        check = cond.compile_check("p2", CenteredHistories(5.0))
+        with pytest.raises(ConditionError, match=message):
+            check({"p1": with_history}, without)
+
+        pattern = Pattern.sequence(["A", "B"], window=5.0, condition=cond)
+        events = [Event(A, float(t), {"history": (1.0, 2.0, 3.0 + t)})
+                  if t % 2 == 0 else Event(B, float(t), {"price": 1.0})
+                  for t in range(6)]
+        with pytest.raises(ConditionError, match=message):
+            list(SequentialEngine(pattern).run(events))
+        for batch_size in (1, 64):
+            with pytest.raises(ConditionError, match=message):
+                simulate("hypersonic", pattern, events, num_cores=2,
+                         batch_size=batch_size)
 
 
 class TestKleeneReduction:
@@ -311,3 +346,235 @@ class TestCombinators:
             )
         )
         assert cond.depends_on() == frozenset({"a", "b"})
+
+
+# --------------------------------------------------------------------- #
+# Compiled checks                                                        #
+# --------------------------------------------------------------------- #
+
+
+@dataclass(frozen=True)
+class SumAbove(Condition):
+    """A user-defined condition: it compiles through the base class."""
+
+    left: str
+    right: str
+    bound: int
+
+    def depends_on(self) -> frozenset[str]:
+        return frozenset({self.left, self.right})
+
+    def evaluate(self, binding) -> bool:
+        total = 0
+        for name in (self.left, self.right):
+            total += kleene_representative(binding[name])["v"]
+        return total > self.bound
+
+
+def outcome(call):
+    """What *call* returns, or the type and message of what it raises."""
+    try:
+        return ("value", type(result := call()), result)
+    except Exception as exc:  # compared with the other outcome, not handled
+        return ("raises", type(exc), str(exc))
+
+
+attribute_values = st.one_of(st.integers(-3, 3), st.floats(-3.0, 3.0))
+histories = st.one_of(
+    st.lists(st.floats(-100.0, 100.0), min_size=0, max_size=5).map(tuple),
+    st.sampled_from([(1.0, 1.0, 1.0), (2.0, 4.0, 6.0), 7.0]),
+)
+
+
+@st.composite
+def events(draw, timestamp=st.floats(0.0, 10.0)):
+    attributes = {}
+    for name, values in (("v", attribute_values), ("w", attribute_values),
+                         ("history", histories)):
+        if draw(st.booleans()) or draw(st.booleans()):
+            attributes[name] = draw(values)
+    return Event(A, draw(timestamp), attributes)
+
+
+bound_values = st.one_of(
+    events(),
+    st.lists(events(), min_size=0, max_size=3).map(tuple),
+)
+
+#: The compiled position is "p"; "a" is bound.  ("p", "p") and ("a", "a")
+#: sides compile to the generic check.
+sides = st.sampled_from([("a", "p"), ("p", "a"), ("p", "p"), ("a", "a")])
+reductions = st.sampled_from(KLEENE_REDUCTIONS)
+
+
+@st.composite
+def conditions(draw):
+    left, right = draw(sides)
+    kind = draw(st.sampled_from(
+        ["attribute", "correlation", "unary", "pairwise", "user"]))
+    if kind == "attribute":
+        return AttributeCondition(
+            left, draw(st.sampled_from(["v", "w"])),
+            draw(st.sampled_from(["<", "<=", ">", ">=", "==", "!="])),
+            right, draw(st.sampled_from(["v", "w"])), reduce=draw(reductions))
+    if kind == "correlation":
+        return CorrelationCondition(
+            left, right, draw(st.floats(-1.0, 1.0)), reduce=draw(reductions))
+    if kind == "unary":
+        return UnaryCondition(left, lambda e: e["v"] > 0,
+                              reduce=draw(reductions))
+    if kind == "pairwise":
+        return PairwiseCondition(left, right, lambda x, y: x["v"] < y["w"],
+                                 reduce=draw(reductions))
+    return SumAbove(left, right, draw(st.integers(-2, 2)))
+
+
+class TestCompiledChecks:
+    @settings(max_examples=600, deadline=None)
+    @given(condition=conditions(), bound=bound_values, event=events())
+    # Both attributes missing: the error names the left one.
+    @example(condition=AttributeCondition("a", "v", "<", "p", "w"),
+             bound=Event(A, 0.0, {}), event=Event(A, 1.0, {}))
+    @example(condition=AttributeCondition("p", "v", "<", "a", "w"),
+             bound=Event(A, 0.0, {}), event=Event(A, 1.0, {}))
+    def test_check_equals_evaluate_on_the_probe(self, condition, bound,
+                                                event):
+        binding = {"a": bound}
+        expected = outcome(
+            lambda: condition.evaluate({**binding, "p": event}))
+        # Twice through one table: the second call reads what the first
+        # one centered.
+        check = condition.compile_check("p", CenteredHistories(5.0))
+        assert outcome(lambda: check(binding, event)) == expected
+        assert outcome(lambda: check(binding, event)) == expected
+
+    def test_a_subclass_overriding_evaluate_is_still_called(self):
+        class Inverted(AttributeCondition):
+            def evaluate(self, binding):
+                return not super().evaluate(binding)
+
+        class Uncorrelated(CorrelationCondition):
+            def evaluate(self, binding):
+                return not super().evaluate(binding)
+
+        low = Event(A, 0.0, {"v": 1, "history": (1.0, 2.0, 3.0)})
+        high = Event(B, 1.0, {"v": 2, "history": (1.0, 2.0, 4.0)})
+        down = Event(B, 1.0, {"v": 0, "history": (3.0, 2.0, 1.0)})
+        for condition in (Inverted("a", "v", "<", "p", "v"),
+                          Uncorrelated("a", "p", 0.5)):
+            check = condition.compile_check("p", CenteredHistories(5.0))
+            assert not check({"a": low}, high)
+            assert check({"a": low}, down)
+
+    def test_later_conjuncts_never_see_a_rejected_event(self):
+        calls = []
+        bindings = []
+
+        @dataclass(frozen=True)
+        class Recorded(Condition):
+            name: str
+            verdict: bool
+
+            def depends_on(self):
+                return frozenset({"p1", "p2"})
+
+            def evaluate(self, binding):
+                raise AssertionError("a stage runs its compiled checks")
+
+            def compile_check(self, position, histories):
+                def check(binding, event):
+                    calls.append(self.name)
+                    bindings.append(binding)
+                    return self.verdict
+                return check
+
+        pattern = Pattern.sequence(
+            ["A", "B", "X", "C"], window=5.0, negated=[2],
+            condition=AndCondition((
+                Recorded("first", False), Recorded("second", True),
+                UnaryCondition("p3", lambda e: False, name="guard_first"),
+                UnaryCondition("p3", lambda e: calls.append("guard_second")),
+            )),
+        )
+        nfa = compile_pattern(pattern)
+        stage = nfa.stages[1]
+        partial = PartialMatch.of("p1", Event(A, 0.0, {}))
+        assert not stage.accepts(partial, Event(B, 1.0, {}))
+        assert calls == ["first"]
+        # The stage hands its checks the partial's own binding: no copy.
+        assert bindings == [partial.binding]
+        assert bindings[0] is partial.binding
+
+        [guard] = stage.guards_after
+        extended = partial.extended("p2", Event(B, 1.0, {})).extended(
+            "p4", Event(EventType("C"), 3.0, {}))
+        negated = Event(EventType("X"), 2.0, {})
+        assert not guard.violates(extended.binding, negated, 5.0,
+                                  extended.earliest)
+        assert calls == ["first"]
+
+
+class TestCenteredHistories:
+    def test_centers_each_history_once_while_it_lives(self, monkeypatch):
+        import repro.core.conditions as conditions_module
+
+        centered = []
+        center = conditions_module.center_history
+
+        def counted(seq):
+            centered.append(seq)
+            return center(seq)
+
+        monkeypatch.setattr(conditions_module, "center_history", counted)
+        table = CenteredHistories(window=10.0)
+        first, second = (1.0, 2.0, 4.0), (3.0, 1.0, 2.0)
+        assert table.center(first, 0.0) == center(first)
+        assert table.center(first, 0.0) == center(first)
+        assert table.center(second, 1.0) == center(second)
+        assert centered == [first, second]
+        # An equal but distinct history is centered on its own.
+        table.center(list(first), 1.0)
+        assert len(centered) == 3
+
+    def test_expires_a_window_behind_the_newest(self):
+        table = CenteredHistories(window=10.0)
+        old, kept, new = (1.0, 2.0), (2.0, 1.0), (5.0, 6.0)
+        table.center(old, 0.0)
+        assert table.floor == -10.0
+        table.center(kept, 9.0)
+        assert len(table.entries) == 2  # within two windows of the floor
+        table.center(new, 10.5)  # more than two windows past it: expire
+        assert table.floor == 0.5
+        assert [entry[0] for entry in table.entries.values()] == [kept, new]
+        # Older than the floor: centered, but not kept.
+        assert table.center(old, 0.0) is not None
+        assert [entry[0] for entry in table.entries.values()] == [kept, new]
+
+    def test_sequential_tables_stay_within_two_windows(self):
+        """A 20,000-event stock stream through the sequential engine: after
+        every event, no entry of any stage's table is more than two
+        windows older than that table's newest centered event."""
+        window = 40.0
+        stream = generate_stock_stream(StockConfig(num_events=20_000, seed=11))
+        pattern = Pattern.sequence(
+            ["S0", "S1", "S2"], window=window,
+            condition=AndCondition((
+                CorrelationCondition("p1", "p2", 0.5),
+                CorrelationCondition("p2", "p3", 0.5),
+            )),
+        )
+        engine = SequentialEngine(pattern)
+        tables = [stage.histories for stage in engine._nfa.stages]
+        peak = 0
+        for event in stream:
+            engine.process(event)
+            for table in tables:
+                if table.entries:
+                    oldest = min(entry[2] for entry in table.entries.values())
+                    assert table.newest - oldest <= 2 * window
+                    peak = max(peak, len(table.entries))
+        engine.close()
+        assert engine.stats.matches_emitted > 0
+        # The bound was exercised: entries were kept and expired all along.
+        assert 0 < peak < 1_000
+        assert min(tables[1].floor, tables[2].floor) > stream[-1].timestamp - 3 * window

@@ -9,6 +9,7 @@ exact there; only the timings vary.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import multiprocessing
 import os
@@ -160,6 +161,30 @@ class TestPickleRoundTrips:
         assert clone.binding["p1"] == a
         assert clone.earliest == partial.earliest
         assert clone.latest == partial.latest
+
+    def test_every_field_survives(self):
+        event = Event(EventType("A", ("x",)), 1.5, {"x": [1, 2]},
+                      event_id=123_456, payload_size=96)
+        clone = pickle.loads(pickle.dumps(event))
+        assert [getattr(clone, f.name) for f in dataclasses.fields(Event)] \
+            == [getattr(event, f.name) for f in dataclasses.fields(Event)]
+        assert (clone.type.attributes, clone.payload_size) == (("x",), 96)
+        partial = PartialMatch(binding={"p1": event, "p2": (event,)},
+                               earliest=1.5, latest=2.5)
+        clone = pickle.loads(pickle.dumps(partial))
+        assert (clone.earliest, clone.latest) == (1.5, 2.5)
+        assert clone.binding == partial.binding
+        assert clone.binding["p2"][0] is clone.binding["p1"]
+
+    def test_shared_event_stays_one_object(self):
+        # Pickle state is a plain tuple; the memo still makes one event
+        # bound by two partials one object after one loads.
+        shared = Event(EventType("A"), 1.0, {"x": 1})
+        first = PartialMatch.of("p1", shared)
+        second = first.extended("p2", Event(EventType("B"), 2.0, {"x": 2}))
+        left, right = pickle.loads(pickle.dumps([first, second]))
+        assert left.binding["p1"] is right.binding["p1"]
+        assert left.binding["p1"] == shared
 
     def test_match_round_trip_preserves_key(self):
         a = Event(EventType("A"), 1.0, {})

@@ -31,7 +31,11 @@ from repro.core import (
     EventType,
     Pattern,
 )
-from repro.core.conditions import _OPERATORS, pearson_correlation
+from repro.core.conditions import (
+    _OPERATORS,
+    CenteredHistories,
+    pearson_correlation,
+)
 from repro.core.errors import ConditionError
 from repro.core.matches import PartialMatch
 from repro.core.nfa import compile_pattern
@@ -68,6 +72,16 @@ def pearson_case(draw):
     return query, rows
 
 
+def compiled_accepts(query, row, threshold: float,
+                     table: CenteredHistories) -> bool:
+    """The verdict of a compiled ``Corr(p1, p2) > threshold`` check that
+    binds *row*'s event against *query*'s."""
+    condition = CorrelationCondition("p1", "p2", threshold)
+    check = condition.compile_check("p2", table)
+    return check({"p1": Event(EventType("A"), 0.0, {"history": query})},
+                 Event(EventType("B"), 0.5, {"history": row}))
+
+
 class TestBatchedPearson:
     @settings(max_examples=120, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -88,7 +102,16 @@ class TestBatchedPearson:
         monkeypatch.setattr(vec, "np", None)
         query, rows = case
         batched = batched_pearson(query, rows)
-        assert batched == [pearson_correlation(query, row) for row in rows]
+        scalar = [pearson_correlation(query, row) for row in rows]
+        assert batched == scalar
+        # The compiled check (centering through a table) computes the
+        # scalar coefficient bit for bit: its verdict flips exactly
+        # between that coefficient and the next float below it.
+        table = CenteredHistories(window=1.0)
+        for row, expected in zip(rows, scalar):
+            below = math.nextafter(expected, -math.inf)
+            assert not compiled_accepts(query, row, expected, table)
+            assert compiled_accepts(query, row, below, table)
 
     def test_degenerate_rows_are_zero(self, backend):
         query = [1.0, 2.0, 3.0]
