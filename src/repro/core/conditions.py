@@ -580,6 +580,7 @@ class CorrelationCondition(Condition):
             ys = right_event[self.attribute]
         except KeyError as exc:
             raise self._missing(exc) from exc
+        self._require_sequences(xs, ys)
         return pearson_correlation(xs, ys) > self.threshold
 
     def compile_check(self, position: str,
@@ -593,6 +594,7 @@ class CorrelationCondition(Condition):
         event_is_left = other == self.right
         attribute, threshold = self.attribute, self.threshold
         reduce, missing = self.reduce, self._missing
+        require_sequences = self._require_sequences
         # The hit path reads the table inline: it is most calls.
         lookup, center = histories.entries.get, histories.center
 
@@ -609,7 +611,12 @@ class CorrelationCondition(Condition):
                 ys = right_event[attribute]
             except KeyError as exc:
                 raise missing(exc) from exc
-            if len(xs) != len(ys):
+            try:
+                mismatch = len(xs) != len(ys)
+            except TypeError:
+                require_sequences(xs, ys)
+                raise
+            if mismatch:
                 raise _length_mismatch(xs, ys)
             # Left before right, as pearson_correlation centers them.
             entry = lookup(id(xs))
@@ -632,6 +639,18 @@ class CorrelationCondition(Condition):
         return ConditionError(
             f"missing attribute {exc} on event while evaluating {self!r}"
         )
+
+    def _require_sequences(self, xs: Any, ys: Any) -> None:
+        """Raise the ``ConditionError`` naming this condition when a
+        history has no length, left first, as ``len`` would fail."""
+        for history in (xs, ys):
+            try:
+                len(history)
+            except TypeError as exc:
+                raise ConditionError(
+                    f"attribute {self.attribute!r} is {history!r}, not a "
+                    f"sequence, while evaluating {self!r}"
+                ) from exc
 
     def __repr__(self) -> str:
         return f"(Corr({self.left},{self.right}) > {self.threshold:g})"

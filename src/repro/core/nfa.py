@@ -37,21 +37,30 @@ Each stage and guard compiles its conditions once, into checks that read
 the event being bound directly (:meth:`Condition.compile_check`), and
 keeps its own table of centered histories
 (:class:`~repro.core.conditions.CenteredHistories`) for its correlation
-checks.
+checks.  When its first conjunct is an equality between the bound item
+and an earlier position, it also keeps that conjunct's join key
+(:func:`~repro.core.joinkeys.join_key`), which the engines' buffers are
+bucketed by (DESIGN §2p).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from typing import Any, Mapping
+from itertools import islice
+from operator import attrgetter
+from typing import Any, Mapping, Sequence
 
 from repro.core.conditions import CenteredHistories, Check, Condition
 from repro.core.errors import PatternError
 from repro.core.events import Event
+from repro.core.joinkeys import JoinKey, join_key
 from repro.core.matches import PartialMatch
 from repro.core.patterns import ItemKind, Operator, Pattern, PatternItem
 
 __all__ = ["NegationGuard", "Stage", "ChainNFA", "compile_pattern"]
+
+_latest = attrgetter("latest")
 
 
 @dataclass(frozen=True)
@@ -77,6 +86,9 @@ class NegationGuard:
     checks:
         One compiled check per condition, in order
         (:meth:`~repro.core.conditions.Condition.compile_check`).
+    key:
+        The join key of the first condition, or ``None``
+        (:func:`~repro.core.joinkeys.join_key`).
     """
 
     item: PatternItem
@@ -86,10 +98,10 @@ class NegationGuard:
     histories: CenteredHistories = field(kw_only=True, repr=False,
                                          compare=False)
     checks: tuple[Check, ...] = field(init=False, repr=False, compare=False)
+    key: JoinKey | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "checks", _compile_checks(
-            self.conditions, self.item.name, self.histories))
+        _compile(self)
 
     @property
     def trailing(self) -> bool:
@@ -144,7 +156,8 @@ class NegationGuard:
 class Stage:
     """One chain-NFA state: binds one positive item and checks guards.
 
-    ``histories`` and ``checks`` are as for :class:`NegationGuard`.
+    ``histories``, ``checks`` and ``key`` are as for
+    :class:`NegationGuard`.
     """
 
     index: int
@@ -154,10 +167,10 @@ class Stage:
     histories: CenteredHistories = field(kw_only=True, repr=False,
                                          compare=False)
     checks: tuple[Check, ...] = field(init=False, repr=False, compare=False)
+    key: JoinKey | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "checks", _compile_checks(
-            self.conditions, self.item.name, self.histories))
+        _compile(self)
 
     @property
     def is_kleene(self) -> bool:
@@ -181,11 +194,14 @@ class Stage:
         return True
 
 
-def _compile_checks(conditions: tuple[Condition, ...], position: str,
-                    histories: CenteredHistories) -> tuple[Check, ...]:
-    return tuple(
-        condition.compile_check(position, histories) for condition in conditions
-    )
+def _compile(node: "Stage | NegationGuard") -> None:
+    """Compile the checks and derive the join key of a stage or guard."""
+    position = node.item.name
+    object.__setattr__(node, "checks", tuple(
+        condition.compile_check(position, node.histories)
+        for condition in node.conditions
+    ))
+    object.__setattr__(node, "key", join_key(node.conditions, position))
 
 
 @dataclass(frozen=True)
@@ -259,6 +275,39 @@ def seq_order_allows(partial: PartialMatch, stages: tuple[Stage, ...],
                      stage_index: int, event: Event) -> bool:
     """Check SEQ temporal order for binding *event* at *stage_index*."""
     return _order_ok(last_bound_event(partial, stages, stage_index), event)
+
+
+def count_seq_candidates(pool: Sequence[PartialMatch], stages: tuple[Stage, ...],
+                         stage_index: int, event: Event, window: float) -> int:
+    """How many partials of *pool* pass ``fits_with`` and
+    :func:`seq_order_allows` for binding *event* at *stage_index*: the
+    pairs a full scan of the pool compares, and charges.
+
+    *pool* must be a pool of the sequential engine or the planner's
+    sampler while its events come in stream order, just purged of the
+    partials with ``earliest < event.timestamp - window``.  Every partial
+    in it was created by binding its last bound event, so the pool is in
+    ``latest`` order and each partial's last bound event is at
+    ``latest``.  The partials before the event's timestamp then pass SEQ
+    order, those after it fail, and those tied with it are settled by
+    event id.  A purged partial starts no earlier than the purge horizon,
+    so when ``fits_with`` admits the horizon itself it admits every
+    partial up to the event (subtraction is monotone); when rounding
+    makes it reject the horizon, every partial is tested.
+    """
+    timestamp = event.timestamp
+    if timestamp - (timestamp - window) <= window:
+        count = bisect_left(pool, timestamp, key=_latest)
+        tied = bisect_right(pool, timestamp, lo=count, key=_latest)
+        for partial in islice(pool, count, tied):
+            if seq_order_allows(partial, stages, stage_index, event):
+                count += 1
+        return count
+    return sum(
+        1 for partial in pool
+        if partial.fits_with(event, window)
+        and seq_order_allows(partial, stages, stage_index, event)
+    )
 
 
 def compile_pattern(pattern: Pattern) -> ChainNFA:

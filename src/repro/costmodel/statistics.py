@@ -16,8 +16,15 @@ from itertools import compress
 from typing import Iterable, Sequence
 
 from repro.core.events import Event
+from repro.core.joinkeys import KeyBuckets
 from repro.core.matches import PartialMatch
-from repro.core.nfa import ChainNFA, Stage, compile_pattern, seq_order_allows
+from repro.core.nfa import (
+    ChainNFA,
+    Stage,
+    compile_pattern,
+    count_seq_candidates,
+    seq_order_allows,
+)
 from repro.core.patterns import Pattern
 from repro.core.streams import substream_rates
 from repro.costmodel.model import WorkloadStatistics
@@ -67,13 +74,15 @@ class _SamplingRun:
     blow-up is applied analytically by the cost model's Theorem 4, so
     sampling it here would double-count).
 
-    The pool of a stage whose conditions compile to a
-    :class:`~repro.core.vectorized.StageKernel` carries a
+    The pool of a stage with a join key is bucketed by it, and an event
+    is compared only with its own key's bucket (:meth:`_scan_keyed`,
+    DESIGN §2p).  The pool of any other stage whose conditions compile
+    to a :class:`~repro.core.vectorized.StageKernel` carries a
     :class:`~repro.core.vectorized.MatchColumns` view, expired with the
     pool, and is scanned through the kernel (DESIGN §2m).  Stage 0,
     Kleene stages and stages with other conditions use the pair loop of
-    :meth:`_scan_pairs`, the reference the kernel path reproduces count
-    for count.
+    :meth:`_scan_pairs`, the reference both paths reproduce count for
+    count.
     """
 
     nfa: ChainNFA
@@ -85,18 +94,31 @@ class _SamplingRun:
         stages = self.nfa.stages
         self.observations = [StageObservation() for _ in stages]
         self._pools: list[list[PartialMatch]] = [[] for _ in stages]
+        self._keys = [
+            KeyBuckets.of_partials(stage.key)
+            if stage.index and stage.key is not None else None
+            for stage in stages
+        ]
         self._kernels = [None] + [
-            compile_stage_kernel(stage) for stage in stages[1:]
+            None if stage.key is not None else compile_stage_kernel(stage)
+            for stage in stages[1:]
         ]
         self._views = [
             None if kernel is None
             else MatchColumns(kernel, stages, stage.index)
             for stage, kernel in zip(stages, self._kernels)
         ]
+        # The pools are in ``latest`` order while the sample is in stream
+        # order, which the keyed scans' charge relies on.
+        self._in_order = True
+        self._last_timestamp = float("-inf")
 
     def feed(self, event: Event) -> None:
         nfa = self.nfa
         window = nfa.window
+        if event.timestamp < self._last_timestamp:
+            self._in_order = False
+        self._last_timestamp = max(self._last_timestamp, event.timestamp)
         horizon = event.timestamp - window
         additions: list[tuple[int, PartialMatch]] = []
         for stage in nfa.stages:
@@ -120,14 +142,20 @@ class _SamplingRun:
                 continue
             pool = self._pools[stage.index]
             view = self._views[stage.index]
+            buckets = self._keys[stage.index]
             keep = [p.earliest >= horizon for p in pool]
             if not all(keep):
+                if buckets is not None:
+                    buckets.remove(p for p in pool if p.earliest < horizon)
                 pool[:] = compress(pool, keep)
                 if view is not None:
                     view.retain(keep)
             observation.scanned += len(pool)
             observation.scan_sq += len(pool) * len(pool)
-            if view is None:
+            if buckets is not None:
+                accepted = self._scan_keyed(stage, pool, buckets, event,
+                                            observation)
+            elif view is None:
                 accepted = self._scan_pairs(stage, pool, event, observation)
             else:
                 accepted = self._scan_kernel(stage, pool, view, event,
@@ -149,6 +177,8 @@ class _SamplingRun:
                 pool = self._pools[level]
                 if len(pool) < _POOL_CAP:
                     pool.append(partial)
+                    if self._keys[level] is not None:
+                        self._keys[level].add(partial)
 
     def _scan_pairs(self, stage: Stage, pool: list[PartialMatch],
                     event: Event, observation: StageObservation
@@ -166,6 +196,22 @@ class _SamplingRun:
             if stage.accepts(partial, event):
                 observation.successes += 1
                 accepted.append(partial)
+        return accepted
+
+    def _scan_keyed(self, stage: Stage, pool: list[PartialMatch],
+                    buckets: KeyBuckets, event: Event,
+                    observation: StageObservation) -> list[PartialMatch]:
+        """:meth:`_scan_pairs` over the event's own key's bucket: only its
+        partials can pass the key conjunct.  ``comparisons`` still counts
+        every candidate of the pool, as the pair loop does."""
+        group = buckets.matching(event) if self._in_order else None
+        if group is None:
+            return self._scan_pairs(stage, pool, event, observation)
+        comparisons = observation.comparisons + count_seq_candidates(
+            pool, self.nfa.stages, stage.index, event, self.nfa.window
+        )
+        accepted = self._scan_pairs(stage, group, event, observation)
+        observation.comparisons = comparisons
         return accepted
 
     def _scan_kernel(self, stage: Stage, pool: list[PartialMatch], view,

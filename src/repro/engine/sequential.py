@@ -13,17 +13,31 @@ the system in the paper.
 The engine counts the work it does (`EngineStats`): event-match comparisons,
 buffered items, peak pool sizes.  The discrete-event simulator reuses these
 counters as its ground-truth computational load.
+
+A stage or negation guard with a join key (DESIGN §2p) has its pool or
+negated-event buffer bucketed by that key, and a scan visits only the
+new item's bucket while the events come in stream order; it still
+charges every pair the full scan would have compared.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from repro.core.errors import EngineError
 from repro.core.events import Event, validate_stream_order
+from repro.core.joinkeys import KeyBuckets, position_of
 from repro.core.matches import Match, PartialMatch
-from repro.core.nfa import ChainNFA, compile_pattern, seq_order_allows
+from repro.core.nfa import (
+    ChainNFA,
+    NegationGuard,
+    Stage,
+    compile_pattern,
+    count_seq_candidates,
+    seq_order_allows,
+)
 from repro.core.patterns import Operator, Pattern
 
 __all__ = ["EngineStats", "SequentialEngine", "detect"]
@@ -83,16 +97,43 @@ class SequentialEngine:
             self._pools: list[list[PartialMatch]] = [
                 [] for _ in range(self._nfa.num_stages)
             ]
+            self._stages_by_type: dict[str, list[Stage]] = {}
+            for stage in self._nfa.stages:
+                self._stages_by_type.setdefault(
+                    stage.event_type_name, []).append(stage)
             self._guarded_types = self._nfa.guarded_type_names()
             self._neg_buffer: dict[str, list[Event]] = {
                 name: [] for name in self._guarded_types
             }
+            # The earliest timestamp in each pool and negated-event
+            # buffer, so a purge skips those it would leave unchanged.
+            self._pool_floors = [math.inf] * self._nfa.num_stages
+            self._neg_floors = dict.fromkeys(self._guarded_types, math.inf)
             self._has_trailing_guard = any(
                 guard.trailing
                 for stage in self._nfa.stages
                 for guard in stage.guards_after
             )
             self._pending: list[PartialMatch] = []
+            # Join-key buckets (DESIGN §2p): of each keyed stage's pool,
+            # and of the negated-event buffer each keyed guard scans.
+            stages = self._nfa.stages
+            self._pool_keys: list[KeyBuckets | None] = [
+                KeyBuckets.of_partials(stage.key)
+                if index and stage.key is not None else None
+                for index, stage in enumerate(stages)
+            ]
+            self._guard_keys: dict[str, list[tuple[NegationGuard, KeyBuckets]]] = {}
+            for stage in stages:
+                for guard in stage.guards_after:
+                    if guard.key is not None:
+                        self._guard_keys.setdefault(
+                            guard.item.event_type.name, []
+                        ).append((guard, KeyBuckets.of_events(guard.key)))
+            # The pools are in ``latest`` order and the negated-event
+            # buffers in timestamp order only while events come in stream
+            # order; the keyed scans rely on both.
+            self._in_order = True
         else:
             self._nfa = None
             self._and_pool: list[PartialMatch] = [PartialMatch.empty()]
@@ -111,6 +152,8 @@ class SequentialEngine:
         """Feed one event; return the full matches it completed."""
         if self._closed:
             raise EngineError("process() called after close()")
+        if event.timestamp < self._last_timestamp:
+            self._in_order = False
         self._last_timestamp = max(self._last_timestamp, event.timestamp)
         self.stats.events_processed += 1
         if self._nfa is not None:
@@ -228,25 +271,37 @@ class SequentialEngine:
         # the pattern reuses a type; handle guards first.
         if type_name in self._guarded_types:
             self._neg_buffer[type_name].append(event)
+            if now < self._neg_floors[type_name]:
+                self._neg_floors[type_name] = now
+            for _guard, buckets in self._guard_keys.get(type_name, ()):
+                buckets.add(event)
             if self._has_trailing_guard and self._pending:
                 self._strike_pending(event)
 
         additions: list[tuple[int, PartialMatch]] = []
-        for stage in nfa.stages:
-            if stage.event_type_name != type_name:
-                continue
+        for stage in self._stages_by_type.get(type_name, ()):
             index = stage.index
             if index == 0:
                 if self._try_stage_conditions(stage, PartialMatch.empty(), event):
                     seed = self._bind(stage, PartialMatch.empty(), event)
                     additions.append((1, seed))
             else:
-                for partial in self._pools[index]:
+                pool = self._pools[index]
+                group = self._same_key(self._pool_keys[index], event)
+                if group is not None:
+                    # Only the event's bucket can pass the key conjunct;
+                    # charge what scanning the whole pool compares.
+                    self.stats.comparisons += count_seq_candidates(
+                        pool, nfa.stages, index, event, window
+                    )
+                for partial in pool if group is None else group:
                     if not partial.fits_with(event, window):
                         continue
                     if not seq_order_allows(partial, nfa.stages, index, event):
                         continue
-                    if not self._try_stage_conditions(stage, partial, event):
+                    if group is None:
+                        self.stats.comparisons += 1
+                    if not stage.accepts(partial, event):
                         continue
                     extended = self._bind(stage, partial, event)
                     if self._violates_internal_guard(
@@ -258,16 +313,16 @@ class SequentialEngine:
                 # Self-loop: extend partials that already entered this stage.
                 additions.extend(self._extend_kleene(stage, event, window))
 
-        matches = self._commit(additions, event)
-        emitted.extend(matches)
+        if additions:
+            emitted.extend(self._commit(additions, event))
 
         # Release pending trailing-guard matches that are now safe.
         if self._has_trailing_guard and self._pending:
             emitted.extend(self._release_pending(now))
 
         self.stats.observe_pools(
-            sum(len(pool) for pool in self._pools) + len(self._pending),
-            sum(len(buf) for buf in self._neg_buffer.values()),
+            sum(map(len, self._pools)) + len(self._pending),
+            sum(map(len, self._neg_buffer.values())),
         )
         return emitted
 
@@ -309,6 +364,15 @@ class SequentialEngine:
         self.stats.comparisons += 1
         return stage.accepts(partial, event)
 
+    def _same_key(self, buckets: KeyBuckets | None, item):
+        """The entries of *buckets* with the key of *item*, a new event or
+        partial match, or ``None`` when the scan must visit the whole
+        buffer: it has no buckets, the item or an entry has no key, or the
+        stream came out of order."""
+        if buckets is None or not self._in_order:
+            return None
+        return buckets.matching(item)
+
     def _bind(self, stage, partial: PartialMatch, event: Event) -> PartialMatch:
         self.stats.partial_matches_created += 1
         if stage.is_kleene:
@@ -325,16 +389,38 @@ class SequentialEngine:
                                  window: float) -> bool:
         """Check the negation guards sitting between the previous stage and
         the one just bound."""
-        for guard in previous_stage.guards_after:
-            if guard.trailing:
-                continue
-            buffer = self._neg_buffer.get(guard.item.event_type.name, ())
+        return any(
+            self._struck(guard, extended, window)
+            for guard in previous_stage.guards_after if not guard.trailing
+        )
+
+    def _struck(self, guard: NegationGuard, partial: PartialMatch,
+                window: float) -> bool:
+        """Does a buffered event of the guard's type violate *guard* for
+        *partial*?  Charged one comparison per buffered event up to the
+        striking one, or the whole buffer, as a full scan is."""
+        type_name = guard.item.event_type.name
+        buffer = self._neg_buffer.get(type_name, ())
+        buckets = None
+        for keyed, candidates in self._guard_keys.get(type_name, ()):
+            if keyed is guard:
+                buckets = candidates
+        group = self._same_key(buckets, partial)
+        if group is None:
             for negated_event in buffer:
                 self.stats.comparisons += 1
                 if guard.violates(
-                    extended.binding, negated_event, window, extended.earliest
+                    partial.binding, negated_event, window, partial.earliest
                 ):
                     return True
+            return False
+        for negated_event in group:
+            if guard.violates(
+                partial.binding, negated_event, window, partial.earliest
+            ):
+                self.stats.comparisons += position_of(buffer, negated_event) + 1
+                return True
+        self.stats.comparisons += len(buffer)
         return False
 
     def _commit(
@@ -347,6 +433,11 @@ class SequentialEngine:
         for level, partial in additions:
             if level < nfa.num_stages:
                 self._pools[level].append(partial)
+                if partial.earliest < self._pool_floors[level]:
+                    self._pool_floors[level] = partial.earliest
+                buckets = self._pool_keys[level]
+                if buckets is not None:
+                    buckets.add(partial)
                 continue
             # Completed the final stage: trailing guards may defer emission.
             if self._has_trailing_guard:
@@ -375,25 +466,18 @@ class SequentialEngine:
         assert nfa is not None
         while len(self._pools) <= nfa.num_stages:
             self._pools.append([])
+            self._pool_floors.append(math.inf)
         self._pools[nfa.num_stages].append(partial)
+        if partial.earliest < self._pool_floors[nfa.num_stages]:
+            self._pool_floors[nfa.num_stages] = partial.earliest
 
     def _violated_by_buffered_trailing(self, partial: PartialMatch) -> bool:
         nfa = self._nfa
         assert nfa is not None
-        window = nfa.window
-        last_stage = nfa.stages[-1]
-        for guard in last_stage.guards_after:
-            if not guard.trailing:
-                continue
-            for negated_event in self._neg_buffer.get(
-                guard.item.event_type.name, ()
-            ):
-                self.stats.comparisons += 1
-                if guard.violates(
-                    partial.binding, negated_event, window, partial.earliest
-                ):
-                    return True
-        return False
+        return any(
+            self._struck(guard, partial, nfa.window)
+            for guard in nfa.stages[-1].guards_after if guard.trailing
+        )
 
     def _strike_pending(self, negated_event: Event) -> None:
         nfa = self._nfa
@@ -446,17 +530,31 @@ class SequentialEngine:
         window = nfa.window
         horizon = now - window
         for index, pool in enumerate(self._pools):
-            if not pool:
+            if self._pool_floors[index] >= horizon:
                 continue
             kept = [p for p in pool if p.earliest >= horizon]
+            self._pool_floors[index] = min(
+                (p.earliest for p in kept), default=math.inf
+            )
             self.stats.purged_partial_matches += len(pool) - len(kept)
             self._pools[index] = kept
+            buckets = (
+                self._pool_keys[index] if index < len(self._pool_keys)
+                else None
+            )
+            if buckets is not None:
+                buckets.remove(p for p in pool if p.earliest < horizon)
         for name, buffer in self._neg_buffer.items():
-            if not buffer:
+            if self._neg_floors[name] >= horizon:
                 continue
             kept_events = [e for e in buffer if e.timestamp >= horizon]
+            self._neg_floors[name] = min(
+                (e.timestamp for e in kept_events), default=math.inf
+            )
             self.stats.purged_events += len(buffer) - len(kept_events)
             self._neg_buffer[name] = kept_events
+            for _guard, buckets in self._guard_keys.get(name, ()):
+                buckets.remove(e for e in buffer if e.timestamp < horizon)
 
     # ------------------------------------------------------------------ #
     # AND / OR evaluation                                                #

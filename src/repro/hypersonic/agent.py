@@ -55,17 +55,28 @@ ever loses a prefix.  MB fragments are ordered by partial-match timestamp
 unless a store broke the order, which the fragment's *unordered* mark
 records.  Virtual charges do not depend on what a scan skips: fragments
 are charged by size and guard scans by list position.
+
+Join-key buckets
+----------------
+When the stage's first conjunct is an equality with an earlier position
+(``Stage.key``, DESIGN §2p), each EB and MB fragment is also grouped by
+that key, and a scan visits only the new item's group; a guard with a
+key does the same over the guard list.  Every scan still charges what
+the full scan charges: fragment scans count their candidates by
+``bisect`` or by their window and SEQ-order tests alone, and guard scans
+keep charging by list position.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice
 from operator import attrgetter
-from typing import Callable, Iterator
+from typing import Callable, Iterable
 
 from repro.core.events import Event
+from repro.core.joinkeys import KeyBuckets, position_of
 from repro.core.matches import PartialMatch
 from repro.core.nfa import NegationGuard, Stage, last_bound_event, seq_order_allows
 from repro.hypersonic.buffers import AgentGlobalBuffer, BufferSnapshot, FragmentedBuffer
@@ -175,6 +186,20 @@ class AgentCore:
         # (a downstream agent's inputs, or Kleene growth); those keep the
         # full scan until a purge finds them ordered again.
         self._mb_unordered: set[int] = set()
+        # Join-key buckets (DESIGN §2p): of each EB and MB fragment, by
+        # owner, when the stage has a key and the agent is not in vector
+        # mode; of the guard list, for each guard with a key, over the
+        # events of its type.
+        self._eb_keys: dict[int, KeyBuckets] = {}
+        self._mb_keys: dict[int, KeyBuckets] = {}
+        # The first agent's MB holds only seeds, one event each, so its
+        # scans can be counted by bisect (_count_joinable_partials).
+        self._seeds_only = stage_index == 1 and not self.stage.is_kleene
+        self._guard_keys: tuple[tuple[NegationGuard, KeyBuckets], ...] = tuple(
+            (guard, KeyBuckets.of_events(guard.key))
+            for guard in self.internal_guards + self.trailing_guards
+            if guard.key is not None
+        )
 
         self.latest_event_ts = float("-inf")
         self.latest_match_ts = float("-inf")
@@ -245,6 +270,11 @@ class AgentCore:
 
             self._vector_kernel = compile_stage_kernel(self.stage)
         self.vector_mode = self._vector_kernel is not None
+        if self.vector_mode:
+            # The batched scans read no fragment buckets (DESIGN §2p), so
+            # none are kept, and the scalar scans go unkeyed.
+            self._eb_keys.clear()
+            self._mb_keys.clear()
         return self.vector_mode
 
     def process_batch(self, items: list[WorkItem], unit_id: int) -> Receipt:
@@ -306,56 +336,121 @@ class AgentCore:
             self.latest_event_ts = event.timestamp
         window = self.window
         stage = self.stage
-        stages = self.stages
         kleene = stage.is_kleene
         position = stage.item.name
         # Purge horizon for matches: the opposite stream's progress, with
         # slack absorbing inter-agent delay (paper Section 3.2 assumes W
         # exceeds the processing delay).
         horizon = self.latest_event_ts - window - self.match_purge_slack
+        event_key = stage.key.of_event(event) if stage.key is not None else None
 
         for owner, fragment in self.match_buffer.fragments():
             if horizon > float("-inf"):
                 self._purge_match_fragment(owner, horizon)
             resident = self.match_buffer._fragments.get(owner, ())
             receipt.note_fragment(len(resident))
-            candidates = resident
-            if owner not in self._mb_unordered:
-                # SEQ order rejects every partial that starts after the
-                # event, so an ordered fragment stops before them.
-                candidates = islice(resident, bisect_right(
-                    resident, event.timestamp, key=_earliest
-                ))
-            for partial in candidates:
-                if not partial.fits_with(event, window):
+            ordered = owner not in self._mb_unordered
+            buckets = self._mb_keys.get(owner)
+            group = None if buckets is None else buckets.group(event_key)
+            if group is None:
+                joinable = self._joinable_partials(event, resident, ordered)
+                receipt.comparisons += len(joinable)
+            else:
+                # Only the event's group can pass the key conjunct; the
+                # charge is what scanning the whole fragment compares.
+                receipt.comparisons += self._count_joinable_partials(
+                    event, resident, ordered)
+                joinable = (
+                    self._joinable_partials(event, group, ordered)
+                    if group else ()
+                )
+            for partial in joinable:
+                if not stage.accepts(partial, event):
                     continue
-                bound = partial.binding.get(position)
-                if bound is not None:
+                if kleene and position in partial.binding:
                     # Kleene loop-back match already holding a tuple here:
                     # append semantics.
-                    if not kleene:
-                        continue
-                    last = bound[-1]
-                    if (last.timestamp, last.event_id) >= (
-                        event.timestamp,
-                        event.event_id,
-                    ):
-                        continue
-                    receipt.comparisons += 1
-                    if not stage.accepts(partial, event):
-                        continue
                     grown = partial.extended_kleene(position, event)
                     self._accept(grown, receipt)
-                    continue
-                if not seq_order_allows(partial, stages, self.stage_index, event):
-                    continue
-                receipt.comparisons += 1
-                if not stage.accepts(partial, event):
                     continue
                 extended = self._bind(partial, event)
                 self._route_new_candidate(extended, event.timestamp, receipt)
         self._store_event(event, unit_id)
         return receipt
+
+    def _joinable_partials(self, event: Event, partials, ordered: bool
+                           ) -> list[PartialMatch]:
+        """The partials of one MB fragment, or of one key's group in it,
+        that the scan compares with *event*: within the window and before
+        it in SEQ order (a Kleene loop-back match by its tuple's last
+        event), in fragment order.
+
+        *ordered* says the partials are in timestamp order.  Then SEQ
+        order rejects every partial that starts after the event, and one
+        that starts more than a window before it fails either the window
+        (``fits_with`` is ``ts - earliest`` unless the partial ends after
+        the event) or SEQ order (it does end after the event), so the
+        scan covers the band between, which a ``bisect`` on the same
+        difference finds.
+        """
+        window = self.window
+        timestamp = event.timestamp
+        candidates = partials
+        if ordered:
+            candidates = islice(partials, *self._band(event, partials))
+        stage = self.stage
+        position = stage.item.name
+        previous = self.stages[self.stage_index - 1].item.name
+        order = (timestamp, event.event_id)
+        joinable = []
+        # fits_with and seq_order_allows, inline: this loop runs for every
+        # buffered candidate.
+        for partial in candidates:
+            if not (max(partial.latest, timestamp)
+                    - min(partial.earliest, timestamp) <= window):
+                continue
+            binding = partial.binding
+            last = binding.get(position)
+            if last is None:
+                last = binding[previous]
+            elif not stage.is_kleene:
+                continue
+            if isinstance(last, tuple):
+                last = last[-1]
+            if not (last.timestamp, last.event_id) < order:
+                continue
+            joinable.append(partial)
+        return joinable
+
+    def _band(self, event: Event, partials) -> tuple[int, int]:
+        """The index range of an ordered MB fragment that can join
+        *event* (see :meth:`_joinable_partials`)."""
+        timestamp = event.timestamp
+        return (
+            bisect_left(partials, -self.window,
+                        key=lambda partial: -(timestamp - partial.earliest)),
+            bisect_right(partials, timestamp, key=_earliest),
+        )
+
+    def _count_joinable_partials(self, event: Event, partials,
+                                 ordered: bool) -> int:
+        """``len(self._joinable_partials(event, partials, ordered))``.
+
+        On the first agent an ordered fragment is counted by bisect: each
+        seed is one event, at its ``earliest``, so every seed in the band
+        before the event's timestamp is within the window and before it
+        in SEQ order, and only the seeds tied with it are settled by id.
+        """
+        if not (ordered and self._seeds_only):
+            return len(self._joinable_partials(event, partials, ordered))
+        first, end = self._band(event, partials)
+        tied = bisect_left(partials, event.timestamp, lo=first, hi=end,
+                           key=_earliest)
+        count = tied - first
+        for partial in islice(partials, tied, end):
+            if seq_order_allows(partial, self.stages, 1, event):
+                count += 1
+        return count
 
     def _process_event_batch(self, events: list[Event], unit_id: int) -> Receipt:
         """Batched event scan: one MB traversal amortized over the batch.
@@ -455,6 +550,9 @@ class AgentCore:
             last = partial.binding[position][-1]
         else:
             last = last_bound_event(partial, self.stages, self.stage_index)
+        partial_key = (
+            stage.key.of_partial(partial) if stage.key is not None else None
+        )
 
         for owner, fragment in self.event_buffer.fragments():
             if horizon > float("-inf"):
@@ -464,8 +562,14 @@ class AgentCore:
             if self.vector_mode and not looping and resident:
                 self._scan_events_vector(partial, resident, owner, receipt)
                 continue
-            for event in self._joinable_events(partial, last, resident):
-                receipt.comparisons += 1
+            joinable, count = self._joinable_events(partial, last, resident)
+            receipt.comparisons += count
+            buckets = self._eb_keys.get(owner)
+            group = None if buckets is None else buckets.group(partial_key)
+            if group is not None:
+                # Only the partial's group can pass the key conjunct.
+                joinable, _ = self._joinable_events(partial, last, group)
+            for event in joinable:
                 if not stage.accepts(partial, event):
                     continue
                 if looping:
@@ -498,30 +602,35 @@ class AgentCore:
 
     def _joinable_events(
         self, partial: PartialMatch, last: Event, resident: list[Event]
-    ) -> Iterator[Event]:
-        """The events of one EB fragment that *partial* can bind after
-        *last*: later in SEQ order and within the window.
+    ) -> tuple[Iterable[Event], int]:
+        """The events of one EB fragment, or of one key's group in it,
+        that *partial* can bind after *last* (later in SEQ order and
+        within the window), in order, and how many there are.
 
-        The fragment is in timestamp order, so the scan starts at *last*'s
-        timestamp (ties are settled by event id) and stops at the first
-        event past ``partial.latest`` that fails ``fits_with``: from there
-        on ``fits_with`` computes ``ts - earliest``, which only grows with
-        ``ts``.  Comparing ``ts`` with ``earliest + window`` instead can
-        disagree with ``fits_with`` in either direction, by rounding.
+        The fragment is in timestamp order, so the events start at
+        *last*'s timestamp.  Those up to ``partial.latest`` (usually only
+        the ones tied with *last*, settled by event id) are tested one by
+        one.  Past ``latest``, ``fits_with`` computes ``ts - earliest``,
+        which only grows with ``ts``, so the events that fit are a run,
+        ended by a ``bisect`` on that same difference.  Comparing ``ts``
+        with ``earliest + window`` instead can disagree with ``fits_with``
+        in either direction, by rounding.
         """
         window = self.window
-        latest = partial.latest
+        earliest = partial.earliest
         last_ts = last.timestamp
         last_id = last.event_id
         start = bisect_left(resident, last_ts, key=_timestamp)
-        for event in islice(resident, start, None):
-            if not partial.fits_with(event, window):
-                if event.timestamp > latest:
-                    return
-                continue
-            if event.timestamp == last_ts and event.event_id <= last_id:
-                continue
-            yield event
+        after = bisect_right(resident, partial.latest, lo=start, key=_timestamp)
+        early = [
+            event for event in islice(resident, start, after)
+            if partial.fits_with(event, window)
+            and not (event.timestamp == last_ts and event.event_id <= last_id)
+        ]
+        stop = bisect_right(resident, window, lo=after,
+                            key=lambda event: event.timestamp - earliest)
+        return (chain(early, islice(resident, after, stop)),
+                len(early) + stop - after)
 
     def _scan_events_vector(
         self, partial: PartialMatch, resident: list[Event], owner: int,
@@ -557,6 +666,9 @@ class AgentCore:
     def _process_guard_event(self, event: Event) -> Receipt:
         receipt = Receipt()
         self._guard_events.append(event)
+        for guard, buckets in self._guard_keys:
+            if guard.item.event_type.name == event.type.name:
+                buckets.add(event)
         # Strike quarantined candidates this event invalidates.
         if self._quarantine:
             survivors = []
@@ -577,9 +689,14 @@ class AgentCore:
         if floor < horizon:
             horizon = floor
         if horizon > float("-inf") and self._guard_events:
-            del self._guard_events[
-                :bisect_left(self._guard_events, horizon, key=_timestamp)
-            ]
+            cut = bisect_left(self._guard_events, horizon, key=_timestamp)
+            for guard, buckets in self._guard_keys:
+                type_name = guard.item.event_type.name
+                buckets.remove(
+                    dropped for dropped in islice(self._guard_events, cut)
+                    if dropped.type.name == type_name
+                )
+            del self._guard_events[:cut]
         return receipt
 
     # ------------------------------------------------------------------ #
@@ -649,7 +766,10 @@ class AgentCore:
         """Does a buffered guard event strike the candidate *extended*?
 
         Charged as a scan of the whole guard list up to the striking
-        event.  The scan itself starts at the candidate's ``earliest``:
+        event; with a single guard that has a join key, the scan reads
+        only the guard events of the candidate's key (DESIGN §2p), and
+        the striking event's list position is found by ``bisect``.  The
+        scan itself starts at the candidate's ``earliest``:
         a guard event must come after the guard's ``after`` event, which
         is bound no earlier than that.  ``bisect_left``, because an event
         tied with ``after`` but with a larger id can still strike.  It
@@ -668,9 +788,15 @@ class AgentCore:
             bound = guard.last_strike_time(binding, window, earliest)
             if bound > last:
                 last = bound
-        start = bisect_left(guard_events, earliest, key=_timestamp)
-        for index in range(start, len(guard_events)):
-            guard_event = guard_events[index]
+        scanned = guard_events
+        if len(guards) == 1:
+            for keyed, buckets in self._guard_keys:
+                if keyed is guards[0]:
+                    group = buckets.matching(extended)
+                    if group is not None:
+                        scanned = group
+        start = bisect_left(scanned, earliest, key=_timestamp)
+        for guard_event in islice(scanned, start, None):
             if guard_event.timestamp > last:
                 break
             if any(
@@ -678,7 +804,8 @@ class AgentCore:
                 and guard.violates(binding, guard_event, window, earliest)
                 for guard in guards
             ):
-                receipt.comparisons += index + 1
+                receipt.comparisons += position_of(guard_events,
+                                                   guard_event) + 1
                 return True
         receipt.comparisons += len(guard_events)
         return False
@@ -711,8 +838,10 @@ class AgentCore:
             for owner, _fragment in self.event_buffer.fragments():
                 resident = self.event_buffer._fragments.get(owner, ())
                 receipt.note_fragment(len(resident))
-                for event in self._joinable_events(current, last, resident):
-                    receipt.comparisons += 1
+                joinable, count = self._joinable_events(current, last,
+                                                        resident)
+                receipt.comparisons += count
+                for event in joinable:
                     if not stage.accepts(current, event):
                         continue
                     grown = current.extended_kleene(position, event)
@@ -760,6 +889,8 @@ class AgentCore:
     def _store_event(self, event: Event, unit_id: int) -> None:
         self.event_buffer.store(unit_id, event)
         self.agb.retain_event(event)
+        if self.stage.key is not None and not self.vector_mode:
+            self._bucket(self._eb_keys, unit_id, KeyBuckets.of_events).add(event)
 
     def _store_match(self, partial: PartialMatch, unit_id: int) -> None:
         fragment = self.match_buffer._fragments.get(unit_id)
@@ -767,9 +898,32 @@ class AgentCore:
             self._mb_unordered.add(unit_id)
         self.match_buffer.store(unit_id, partial)
         self.agb.retain_match(partial)
+        if self.stage.key is not None and not self.vector_mode:
+            self._bucket(self._mb_keys, unit_id,
+                         KeyBuckets.of_partials).add(partial)
         current = self._mb_frag_min.get(unit_id)
         if current is None or partial.timestamp < current:
             self._mb_frag_min[unit_id] = partial.timestamp
+
+    def _bucket(self, keys: dict[int, KeyBuckets], owner: int,
+                make: Callable) -> KeyBuckets:
+        buckets = keys.get(owner)
+        if buckets is None:
+            buckets = keys[owner] = make(self.stage.key)
+        return buckets
+
+    @staticmethod
+    def _unbucket(keys: dict[int, KeyBuckets], owner: int, dropped,
+                  emptied: bool) -> None:
+        """Drop what a purge of *owner*'s fragment dropped from its
+        buckets, and the buckets with the fragment."""
+        buckets = keys.get(owner)
+        if buckets is None:
+            return
+        if emptied:
+            del keys[owner]
+        else:
+            buckets.remove(dropped)
 
     def _purge_match_fragment(self, owner: int, horizon: float) -> None:
         fragment = self.match_buffer._fragments.get(owner)
@@ -782,10 +936,12 @@ class AgentCore:
         if owner in self._mb_unordered:
             keep = [partial.earliest >= horizon for partial in fragment]
             kept = []
+            dropped = []
             for partial, kept_it in zip(fragment, keep):
                 if kept_it:
                     kept.append(partial)
                 else:
+                    dropped.append(partial)
                     self.agb.release_match(partial)
             stamps = [partial.earliest for partial in kept]
             if stamps == sorted(stamps):
@@ -793,11 +949,13 @@ class AgentCore:
             kept_min = min(stamps, default=None)
         else:
             cut = bisect_left(fragment, horizon, key=_earliest)
-            for partial in islice(fragment, cut):
+            dropped = fragment[:cut]
+            for partial in dropped:
                 self.agb.release_match(partial)
             keep = slice(cut, None)
             kept = fragment[keep]
             kept_min = kept[0].earliest if kept else None
+        self._unbucket(self._mb_keys, owner, dropped, not kept)
         self._replace_fragment(self.match_buffer, self._mb_columns, owner,
                                kept, keep)
         if kept_min is None:
@@ -810,9 +968,11 @@ class AgentCore:
         if not fragment or fragment[0].timestamp >= horizon:
             return
         cut = bisect_left(fragment, horizon, key=_timestamp)
-        for event in islice(fragment, cut):
+        dropped = fragment[:cut]
+        for event in dropped:
             self.agb.release_event(event)
         keep = slice(cut, None)
+        self._unbucket(self._eb_keys, owner, dropped, cut == len(fragment))
         self._replace_fragment(self.event_buffer, self._eb_columns, owner,
                                fragment[keep], keep)
 

@@ -8,25 +8,45 @@ earliest event rounds across the window, the indexed agent must emit the
 same partial matches in the same order and fill its :class:`Receipt` with
 the same counts.  A whole-engine check then runs both cores through the
 simulator on streams full of tied timestamps.
+
+The join-key buckets (DESIGN §2p) are checked the same way, against an
+agent compiled with keys forced off, whose scans visit every entry of
+the time band; the sequential engine and the planner's sampler likewise
+against themselves without keys.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from repro.core import Event, EventType, Pattern, vectorized
-from repro.core.conditions import AttributeCondition, UnaryCondition
+from repro.core import Event, EventType, Pattern, nfa, vectorized
+from repro.core.conditions import (
+    AndCondition,
+    AttributeCondition,
+    UnaryCondition,
+)
 from repro.core.matches import PartialMatch, match_key
 from repro.core.nfa import NegationGuard, compile_pattern, seq_order_allows
+from repro.costmodel import statistics
 from repro.datasets.stocks import StockConfig, generate_stock_stream
+from repro.datasets.trips import TripConfig, generate_trip_stream
+from repro.engine import SequentialEngine
 from repro.hypersonic import fusion
 from repro.hypersonic.agent import AgentCore
+from repro.hypersonic.engine import HypersonicEngine
 from repro.hypersonic.items import ItemKind, Receipt, WorkItem
 from repro.simulator import simulate
-from repro.workloads.queries import stock_sequence_query
+from repro.workloads.queries import (
+    stock_sequence_query,
+    trip_chain_query,
+    trip_negation_query,
+    trip_sequence_query,
+)
 
 from tests.conftest import make_stream
 from tests.make_sim_goldens import result_payload
@@ -649,3 +669,378 @@ def test_batched_run_centres_each_buffered_history_once(monkeypatch):
     assert result.matches > 0
     assert rows
     assert len(centred) == sum(width for _item, width in rows.values())
+
+
+# --------------------------------------------------------------------- #
+# Join-key buckets (DESIGN §2p)                                          #
+# --------------------------------------------------------------------- #
+
+
+def keys_off(patch) -> None:
+    """Compile stages and guards without join keys, so every scan visits
+    its whole time band: the reference for the keyed scans."""
+    patch.setattr(nfa, "join_key", lambda conditions, position: None)
+
+
+def eq(left: str, right: str, attribute: str = "x",
+       reduce: str = "last") -> AttributeCondition:
+    return AttributeCondition(left, attribute, "==", right, attribute,
+                              reduce=reduce)
+
+
+#: name -> (pattern, stage index of the agent under test).  Every pattern's
+#: first conjunct at that stage, or at its guard, is an equality on ``x``.
+KEYED_CASES = {
+    "join": (Pattern.sequence(
+        ["A", "B"], window=1.0,
+        condition=AndCondition((
+            eq("p1", "p2"),
+            AttributeCondition("p1", "y", "<=", "p2", "y"),
+        ))), 1),
+    "kleene_stage": (Pattern.sequence(
+        ["A", "B", "C"], window=1.0, kleene=[1],
+        condition=eq("p2", "p1")), 1),
+    "kleene_bound_first": (Pattern.sequence(
+        ["A", "B", "C"], window=1.0, kleene=[1],
+        condition=eq("p2", "p3", reduce="first")), 2),
+    "kleene_bound_last": (Pattern.sequence(
+        ["A", "B", "C"], window=1.0, kleene=[1],
+        condition=eq("p3", "p2", reduce="last")), 2),
+    "internal_guard": (Pattern.sequence(
+        ["A", "X", "B"], window=1.0, negated=[1],
+        condition=AndCondition((eq("p1", "p2"), eq("p1", "p3")))), 1),
+    "trailing_guard": (Pattern.sequence(
+        ["A", "B", "X"], window=1.0, negated=[2],
+        condition=AndCondition((eq("p1", "p3"), eq("p1", "p2")))), 1),
+}
+
+#: Key values per case: plain integers; the equal ``1``, ``1.0`` and
+#: ``True`` with NaNs (one shared object, and fresh ones); integers with
+#: an occasional unhashable list; and integers with the key attribute
+#: sometimes missing (``None``).
+KEY_POOLS = {
+    "ints": lambda rng: rng.randrange(3),
+    "equal_and_nan": lambda rng: rng.choice(
+        [1, 1.0, True, 2, math.nan, float("nan")]),
+    "lists": lambda rng: [1] if rng.random() < 0.05 else rng.randrange(3),
+    "missing": lambda rng: None if rng.random() < 0.03 else rng.randrange(3),
+}
+
+
+class Clock:
+    """A watermark that the test driver advances."""
+
+    def __init__(self) -> None:
+        self.now = -math.inf
+
+    def __call__(self) -> float:
+        return self.now
+
+
+def keyed_pair(name: str):
+    """An agent on the case's stage with join keys, and one without."""
+    pattern, stage_index = KEYED_CASES[name]
+    clock = Clock()
+    pair = []
+    for keyed in (True, False):
+        with pytest.MonkeyPatch.context() as patch:
+            if not keyed:
+                keys_off(patch)
+            stages = compile_pattern(pattern).stages
+        pair.append(AgentCore(
+            agent_index=stage_index - 1, stages=stages,
+            stage_index=stage_index, window=pattern.window, watermark=clock,
+            is_last=stage_index == len(stages) - 1,
+        ))
+    keyed_agent = pair[0]
+    assert keyed_agent.stage.key is not None or keyed_agent._guard_keys
+    return pair, clock
+
+
+def keyed_steps(name: str, pool: str, seed: int, count: int = 240):
+    """Work items for the case's agent, with the unit that processes each
+    and the watermark at that point.
+
+    Timestamps fall on a coarse grid, so ties are common, and event ids
+    are shuffled, so SEQ order inside a tie goes either way.  Some
+    partial matches arrive late, which leaves MB fragments unordered, and
+    three units share the work.
+    """
+    pattern, stage_index = KEYED_CASES[name]
+    stage_type = compile_pattern(pattern).stages[stage_index].event_type_name
+    rng = random.Random(seed)
+    ids = list(range(1000, 1000 + 3 * count))
+    rng.shuffle(ids)
+    key_of = KEY_POOLS[pool]
+
+    def event(type_name: str, timestamp: float) -> Event:
+        value = key_of(rng)
+        attributes = {"y": rng.randrange(4)}
+        if value is not None:
+            attributes["x"] = value
+        return Event(TYPES[type_name], timestamp, attributes,
+                     event_id=ids.pop())
+
+    steps = []
+    for index in range(count):
+        timestamp = (index // 3) * 0.25
+        roll = rng.random()
+        if roll < 0.4:
+            seed_event = event("A", timestamp)
+            partial = PartialMatch.of("p1", seed_event)
+            if stage_index == 2:
+                for offset in range(rng.randrange(1, 3)):
+                    partial = partial.extended_kleene(
+                        "p2", event("B", timestamp + 0.05 * (offset + 1)))
+            item = WorkItem(ItemKind.MATCH, partial)
+        elif roll < 0.8 or "guard" not in name:
+            item = WorkItem(ItemKind.EVENT, event(stage_type, timestamp))
+        else:
+            item = WorkItem(ItemKind.GUARD, event("X", timestamp))
+        steps.append([item, rng.randrange(3), timestamp - 0.5])
+    # Deliver some partial matches late, behind later events.
+    for index in range(len(steps) - 6):
+        if steps[index][0].kind is ItemKind.MATCH and rng.random() < 0.25:
+            steps.insert(index + rng.randrange(2, 6), steps.pop(index))
+    return steps
+
+
+def step_outcome(agent: AgentCore, item: WorkItem, unit: int):
+    try:
+        receipt = agent.process(item, unit)
+    except Exception as exc:  # compared with the reference's outcome
+        return ("raises", type(exc), str(exc))
+    return ("emits", keys(receipt.emitted_down), counters(receipt))
+
+
+@pytest.fixture
+def evaluations(monkeypatch):
+    """Calls of ``Stage.accepts`` and ``NegationGuard.violates``, by the
+    id of the stage or guard."""
+    calls: dict[int, int] = {}
+    for cls, name in ((nfa.Stage, "accepts"), (NegationGuard, "violates")):
+        original = getattr(cls, name)
+
+        def counted(self, *args, _original=original):
+            calls[id(self)] = calls.get(id(self), 0) + 1
+            return _original(self, *args)
+
+        monkeypatch.setattr(cls, name, counted)
+    return calls
+
+
+def evaluated(calls: dict[int, int], agent: AgentCore) -> int:
+    nodes = (agent.stage, *agent.internal_guards, *agent.trailing_guards)
+    return sum(calls.get(id(node), 0) for node in nodes)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("pool", sorted(KEY_POOLS))
+@pytest.mark.parametrize("name", sorted(KEYED_CASES))
+def test_keyed_scans_equal_full_scans(evaluations, name, pool, seed):
+    """Each item, through an agent with join keys and through one without:
+    the same emitted partials in the same order, the same ``Receipt``
+    counters, the same buffers; or the same ``ConditionError`` when a
+    key attribute is missing."""
+    pair, clock = keyed_pair(name)
+    unordered = False
+    raised = None
+    for item, unit, watermark in keyed_steps(name, pool, seed):
+        clock.now = watermark
+        outcomes = [step_outcome(agent, item, unit) for agent in pair]
+        assert outcomes[0] == outcomes[1]
+        if outcomes[0][0] == "raises":
+            raised = outcomes[0]
+            break
+        assert state(pair[0]) == state(pair[1])
+        unordered = unordered or bool(pair[0]._mb_unordered)
+    if raised is not None:
+        assert pool == "missing"
+        assert "missing attribute 'x'" in raised[2]
+        return
+    assert pool != "missing", "nothing raised"
+    clock.now = math.inf
+    for finish in ("maintenance", "flush"):
+        receipts = [getattr(agent, finish)() for agent in pair]
+        same_outcome(*receipts)
+    assert unordered, "no MB fragment went out of timestamp order"
+    keyed, reference = (evaluated(evaluations, agent) for agent in pair)
+    assert keyed <= reference
+    if pool in ("ints", "equal_and_nan"):
+        assert keyed < reference, "the keyed scans skipped nothing"
+
+
+@pytest.mark.parametrize("batch", [1, 16])
+@pytest.mark.parametrize("query", [trip_sequence_query, trip_chain_query,
+                                   trip_negation_query])
+def test_keyed_runs_equal_unkeyed_runs(monkeypatch, query, batch):
+    """Whole runs of the trip queries, which join on ``bike``: the
+    simulator (virtual time included) and the hybrid driver return
+    exactly what they return with keys forced off."""
+    events = generate_trip_stream(TripConfig(num_trips=80, num_bikes=5,
+                                             seed=3))
+    pattern = query(4.0).pattern
+
+    def run():
+        result = simulate("hypersonic", pattern, events, num_cores=4,
+                          agent_dynamic=True, batch_size=batch)
+        found = HypersonicEngine(pattern, 4).run(events)
+        return (json.loads(json.dumps(result_payload(result))),
+                [match.key for match in found])
+
+    keyed = run()
+    with monkeypatch.context() as patch:
+        keys_off(patch)
+        assert run() == keyed
+    assert keyed[0]["matches"] > 0
+
+
+# -- the sequential engine, keys on and off ------------------------------ #
+
+#: Patterns whose stages or guards are keyed, and one that is not (a
+#: correlation first).
+SEQ_PATTERNS = [
+    Pattern.sequence(["A", "B", "C"], window=2.0,
+                     condition=AndCondition((eq("p1", "p2"), eq("p3", "p2"),
+                                             AttributeCondition(
+                                                 "p1", "y", "<", "p3", "y")))),
+    Pattern.sequence(["A", "X", "B"], window=2.0, negated=[1],
+                     condition=AndCondition((eq("p1", "p2"),
+                                             eq("p1", "p3")))),
+    Pattern.sequence(["A", "B", "X"], window=2.0, negated=[2],
+                     condition=AndCondition((eq("p1", "p3"),
+                                             eq("p2", "p1")))),
+    Pattern.sequence(["A", "B", "C"], window=2.0, kleene=[1],
+                     condition=AndCondition((eq("p1", "p2"),
+                                             eq("p2", "p3", reduce="first")))),
+    Pattern.sequence(["A", "B", "C"], window=2.0, kleene=[1],
+                     condition=eq("p3", "p2")),
+    Pattern.sequence(["A", "B"], window=2.0,
+                     condition=AndCondition((
+                         AttributeCondition("p1", "y", "<=", "p2", "y"),
+                         eq("p1", "p2")))),
+]
+
+key_values = st.one_of(
+    st.integers(0, 2),
+    st.sampled_from([1.0, True, math.nan, "missing", "list"]),
+)
+
+
+@st.composite
+def seq_streams(draw):
+    """A stream with frequent ties and ids that do not follow it; now and
+    then time steps back, which ``process`` accepts."""
+    length = draw(st.integers(0, 60))
+    ids = draw(st.permutations(range(1000, 1000 + length)))
+    steps = [0.0, 0.0, 0.25, 0.5, 1.0]
+    if draw(st.booleans()):
+        steps.append(-0.75)
+    events = []
+    timestamp = 0.0
+    for event_id in ids:
+        timestamp += draw(st.sampled_from(steps))
+        value = draw(key_values)
+        attributes = {"y": draw(st.integers(0, 3))}
+        if value == "list":
+            attributes["x"] = [1]
+        elif value != "missing":
+            attributes["x"] = value
+        type_name = draw(st.sampled_from(["A", "B", "C", "X"]))
+        events.append(Event(TYPES[type_name], timestamp, attributes,
+                            event_id=event_id))
+    return events
+
+
+def seq_outcome(pattern: Pattern, events: list[Event]):
+    engine = SequentialEngine(pattern)
+    try:
+        found = [match.key for event in events
+                 for match in engine.process(event)]
+        found += [match.key for match in engine.close()]
+    except Exception as exc:  # compared with the other run's outcome
+        return ("raises", type(exc), str(exc))
+    return ("matches", found, engine.stats)
+
+
+@settings(max_examples=200, deadline=None)
+@given(pattern=st.sampled_from(SEQ_PATTERNS), events=seq_streams())
+# Out of order: the pool holds partials ending at 2, 1 and 3 when B comes
+# at 1.5, and a bisect on it would count two candidates, not one.
+@example(pattern=SEQ_PATTERNS[0], events=[
+    Event(TYPES[name], timestamp, {"x": 1, "y": 0}, event_id=event_id)
+    for event_id, (name, timestamp) in enumerate(
+        [("A", 0.0), ("A", 2.0), ("A", 1.0), ("A", 3.0), ("B", 1.5)],
+        start=1)
+])
+def test_sequential_keys_change_nothing(pattern, events):
+    """``SequentialEngine`` with join keys returns the same matches in the
+    same order, with equal ``EngineStats``, or raises the same error."""
+    keyed = seq_outcome(pattern, events)
+    with pytest.MonkeyPatch.context() as patch:
+        keys_off(patch)
+        assert seq_outcome(pattern, events) == keyed
+
+
+# -- buckets stay within their buffers ----------------------------------- #
+
+
+def bounded(buckets, buffer) -> None:
+    """No empty bucket, and no more bucketed entries than buffered."""
+    assert all(buckets.groups.values())
+    assert len(buckets) <= len(buffer)
+
+
+def test_buckets_stay_within_their_buffers(monkeypatch):
+    """20,000 events whose key changes every four: after every ``process``
+    call of the sequential engine and of every agent core, and after every
+    event the sampler takes, each bucket map holds no empty bucket and no
+    more entries than the buffer it indexes (a bucket per key ever seen
+    would hold 5,000)."""
+    types = {name: EventType(name) for name in ("start", "end")}
+    events = [
+        Event(types["end" if index % 3 == 2 else "start"], index * 0.05,
+              {"bike": index // 4})
+        for index in range(20_000)
+    ]
+    pattern = trip_negation_query(1.0).pattern
+
+    engine = SequentialEngine(pattern)
+    peak = 0
+    for event in events:
+        engine.process(event)
+        for pool, buckets in zip(engine._pools, engine._pool_keys):
+            if buckets is not None:
+                bounded(buckets, pool)
+                peak = max(peak, len(buckets.groups))
+        for name, keyed in engine._guard_keys.items():
+            for _guard, buckets in keyed:
+                bounded(buckets, engine._neg_buffer[name])
+    assert 0 < peak < 30
+
+    checked = []
+    process = AgentCore.process
+
+    def checked_process(self, item, unit_id):
+        receipt = process(self, item, unit_id)
+        for keys, buffer in ((self._eb_keys, self.event_buffer),
+                             (self._mb_keys, self.match_buffer)):
+            assert set(keys) <= set(buffer._fragments)
+            for owner, buckets in keys.items():
+                bounded(buckets, buffer._fragments[owner])
+        for _guard, buckets in self._guard_keys:
+            bounded(buckets, self._guard_events)
+        checked.append(len(self._mb_keys))
+        return receipt
+
+    with monkeypatch.context() as patch:
+        patch.setattr(AgentCore, "process", checked_process)
+        HypersonicEngine(pattern, 4).run(events)
+    assert len(checked) > len(events)
+
+    run = statistics._SamplingRun(compile_pattern(pattern))
+    for event in events:
+        run.feed(event)
+        for pool, buckets in zip(run._pools, run._keys):
+            if buckets is not None:
+                bounded(buckets, pool)

@@ -159,6 +159,38 @@ class TestCorrelationCondition:
                 simulate("hypersonic", pattern, events, num_cores=2,
                          batch_size=batch_size)
 
+    @pytest.mark.parametrize("bad_side", ["p1", "p2"])
+    def test_non_sequence_history_raises_condition_error(self, bad_side):
+        # A history without a length (a float here) raises the
+        # ConditionError naming the condition, as a missing one does, not
+        # the bare TypeError of len(): from evaluate, the compiled check,
+        # the sequential engine and the simulator at both batch sizes
+        # (the batched kernels decide such rows through the check).
+        cond = CorrelationCondition("p1", "p2", threshold=0.5)
+        message = (r"attribute 'history' is 7\.0, not a sequence, while "
+                   r"evaluating \(Corr\(p1,p2\) > 0\.5\)")
+        histories = {"p1": (1.0, 2.0, 3.0), "p2": (1.0, 2.0, 4.0),
+                     bad_side: 7.0}
+        first = Event(A, 0.0, {"history": histories["p1"]})
+        second = Event(B, 1.0, {"history": histories["p2"]})
+        with pytest.raises(ConditionError, match=message):
+            cond.evaluate({"p1": first, "p2": second})
+        check = cond.compile_check("p2", CenteredHistories(5.0))
+        with pytest.raises(ConditionError, match=message):
+            check({"p1": first}, second)
+
+        pattern = Pattern.sequence(["A", "B"], window=5.0, condition=cond)
+        events = [Event(A, float(t), {"history": histories["p1"]})
+                  if t % 2 == 0 else
+                  Event(B, float(t), {"history": histories["p2"]})
+                  for t in range(6)]
+        with pytest.raises(ConditionError, match=message):
+            list(SequentialEngine(pattern).run(events))
+        for batch_size in (1, 64):
+            with pytest.raises(ConditionError, match=message):
+                simulate("hypersonic", pattern, events, num_cores=2,
+                         batch_size=batch_size)
+
 
 class TestKleeneReduction:
     """Regression: the old ``_first_event`` helper silently took the *last*

@@ -4,6 +4,7 @@ import functools
 
 import pytest
 
+import repro.core.nfa as nfa
 import repro.core.vectorized as vec
 from tests.conftest import make_stream
 from repro.core import (
@@ -11,6 +12,7 @@ from repro.core import (
     AttributeCondition,
     CorrelationCondition,
     Event,
+    EventType,
     Pattern,
 )
 from repro.core.errors import ConditionError
@@ -183,9 +185,23 @@ SAMPLER_CASES = ["stocks_corr", "stocks_negation", "trips_kleene",
                  "tied_ids"]
 
 
+def no_join_keys(patch) -> None:
+    """Compile every stage and guard without a join key (DESIGN §2p), so
+    their scans stay full scans."""
+    patch.setattr(nfa, "join_key", lambda conditions, position: None)
+
+
+def pair_loop_statistics(monkeypatch, pattern, sample):
+    """The reference: every stage on the pair loop, no keys, no kernels."""
+    with monkeypatch.context() as patch:
+        no_join_keys(patch)
+        patch.setattr(vec, "compile_stage_kernel", lambda stage: None)
+        return estimate_statistics(pattern, list(sample))
+
+
 def scan_counts(monkeypatch, pattern, sample):
-    """Estimate with the kernel path, counting its kernel scans; then
-    again with every stage on the pair loop."""
+    """Estimate with the kernel path and keys off, counting its kernel
+    scans; then again with every stage on the pair loop."""
     scans = []
     original = vec.StageKernel.accepts_over_matches
 
@@ -194,11 +210,10 @@ def scan_counts(monkeypatch, pattern, sample):
         return original(self, *args, **kwargs)
 
     with monkeypatch.context() as patch:
+        no_join_keys(patch)
         patch.setattr(vec.StageKernel, "accepts_over_matches", counted)
         kernel = estimate_statistics(pattern, list(sample))
-    with monkeypatch.context() as patch:
-        patch.setattr(vec, "compile_stage_kernel", lambda stage: None)
-        loop = estimate_statistics(pattern, list(sample))
+    loop = pair_loop_statistics(monkeypatch, pattern, sample)
     return kernel, loop, scans
 
 
@@ -226,6 +241,41 @@ class TestKernelSampler:
         assert kernel != uncapped, "the lowered cap does not bind"
         assert kernel == loop
         assert repr(kernel) == repr(loop)
+
+    @pytest.mark.parametrize("name", SAMPLER_CASES)
+    def test_keyed_sampler_equals_pair_loop(self, monkeypatch, backend,
+                                            name):
+        """The default sampler, keyed scans on, against the same pair
+        loop: the trip queries' stages join on ``bike``, and their pools
+        are scanned by key."""
+        pattern, sample = sampler_case(name)
+        keyed_scans = []
+        original = statistics._SamplingRun._scan_keyed
+
+        def counted(self, stage, *args):
+            keyed_scans.append(stage.index)
+            return original(self, stage, *args)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(statistics._SamplingRun, "_scan_keyed", counted)
+            keyed = estimate_statistics(pattern, list(sample))
+        loop = pair_loop_statistics(monkeypatch, pattern, sample)
+        assert keyed == loop
+        assert repr(keyed) == repr(loop)
+        assert bool(keyed_scans) == name.startswith("trips")
+
+    def test_keyed_sampler_on_a_sample_out_of_order(self, monkeypatch):
+        """A sample that steps back in time leaves a pool out of
+        ``latest`` order, which the keyed scans' count relies on; from
+        then on the sampler scans whole pools.  Here the rentals at 0, 2,
+        1 and 3 are in the pool when the one at 1.5 comes, and two of
+        them precede it."""
+        pattern = trip_negation_query(12.0).pattern
+        start = EventType("start")
+        sample = [Event(start, timestamp, {"bike": 1})
+                  for timestamp in (0.0, 2.0, 1.0, 3.0, 1.5)]
+        keyed = estimate_statistics(pattern, sample)
+        assert keyed == pair_loop_statistics(monkeypatch, pattern, sample)
 
     def test_ragged_history_raises_on_both_paths(self, monkeypatch, backend):
         pattern, sample = sampler_case("stocks_corr")
