@@ -122,6 +122,10 @@ class HypersonicEngine:
         self.fusion_plan: FusionPlan | None = None
         self.allocation_plan: AllocationPlan | None = None
         self._matches: list[Match] = []
+        # Items queued at any agent, kept as the simulator keeps
+        # ``kernel.in_flight``; always equal to _total_depth() between
+        # steps (DESIGN §2q).
+        self._in_flight = 0
         self._built = False
 
     # ------------------------------------------------------------------ #
@@ -258,6 +262,7 @@ class HypersonicEngine:
             self.metrics.events_ingested += 1
             self.metrics.comparisons += receipt.comparisons
             self.metrics.queue_pushes += receipt.pushes
+            self._in_flight += receipt.pushes
             self._work_rounds()
 
         splitter.seal()
@@ -283,7 +288,7 @@ class HypersonicEngine:
     def _work_rounds(self) -> None:
         """Let units work until in-flight items drop below the cap."""
         steps = self._step_all_units()
-        while self._total_depth() > self.config.max_inflight and steps:
+        while self._in_flight > self.config.max_inflight and steps:
             steps = self._step_all_units()
 
     def _drain(self) -> None:
@@ -296,7 +301,7 @@ class HypersonicEngine:
                     receipt = agent.maintenance()
                     if receipt.pushes:
                         released += receipt.pushes
-                        self._route_receipt(agent, receipt)
+                        self._in_flight += self._route_receipt(agent, receipt)
                 if released == 0:
                     break
 
@@ -304,22 +309,39 @@ class HypersonicEngine:
         for agent in self.agents:
             receipt = agent.flush()
             if receipt.pushes:
-                self._route_receipt(agent, receipt)
+                self._in_flight += self._route_receipt(agent, receipt)
 
     def _step_all_units(self) -> int:
+        """Give every unit, in order, one chance to take and process one
+        item; returns the number of items processed.
+
+        A unit that cannot take work elsewhere (agent dynamics off and no
+        soft-fusion links) is polled only while its agent has queued work.
+        Otherwise ``select`` would find nothing and only count an idle
+        poll, so the unit gets that bookkeeping directly (DESIGN §2q).
+        """
         policy = self.policy
         assert policy is not None
+        agents = self.agents
+        skip_idle = not policy.agent_dynamic and not policy.links
         steps = 0
         for unit in self.units:
+            if skip_idle and (
+                not self._in_flight
+                or not agents[unit.current_agent].queue_depth()
+            ):
+                unit.idle_polls += 1
+                unit.idle_streak += 1
+                continue
             selection = policy.select(unit)
             if selection is None:
                 continue
-            agent = self.agents[selection.agent_index]
+            agent = agents[selection.agent_index]
             receipt = agent.process(selection.item, unit.unit_id)
             unit.items_processed += 1
             steps += 1
             self._account(receipt)
-            self._route_receipt(agent, receipt)
+            self._in_flight += self._route_receipt(agent, receipt) - 1
         self.metrics.items_processed += steps
         if steps and self.metrics.items_processed % self.config.snapshot_interval < steps:
             self._snapshot_memory()
@@ -330,24 +352,27 @@ class HypersonicEngine:
         self.metrics.fragment_locks += receipt.fragments_locked
         self.metrics.queue_pushes += receipt.pushes
 
-    def _route_receipt(self, agent, receipt: Receipt) -> None:
+    def _route_receipt(self, agent, receipt: Receipt) -> int:
+        """Queue *receipt*'s partial matches at the next agent, or collect
+        them as matches after the last; returns the number queued."""
         position = agent.agent_index
         if position + 1 < len(self.agents):
             downstream = self.agents[position + 1]
             for partial in receipt.emitted_down:
                 downstream.ms.push(WorkItem(ItemKind.MATCH, partial))
-        else:
-            splitter = self.splitter
-            assert splitter is not None
-            for partial in receipt.emitted_down:
-                detected = (
-                    splitter.watermark
-                    if splitter.watermark < float("inf")
-                    else max(partial.latest, partial.earliest + self.nfa.window)
-                )
-                self._matches.append(
-                    Match.from_partial(partial, detected_at=detected)
-                )
+            return len(receipt.emitted_down)
+        splitter = self.splitter
+        assert splitter is not None
+        for partial in receipt.emitted_down:
+            detected = (
+                splitter.watermark
+                if splitter.watermark < float("inf")
+                else max(partial.latest, partial.earliest + self.nfa.window)
+            )
+            self._matches.append(
+                Match.from_partial(partial, detected_at=detected)
+            )
+        return 0
 
     def _total_depth(self) -> int:
         return sum(agent.queue_depth() for agent in self.agents)

@@ -42,11 +42,9 @@ class Roles:
 
 
 class AgentLike(Protocol):
-    """The queue-facing surface a policy needs from an agent."""
-
-    def has_event_work(self, now: float) -> bool: ...
-
-    def has_match_work(self, now: float) -> bool: ...
+    """The queue-facing surface a policy needs from an agent: the next
+    item of *role* that is ready at *now*, or ``None`` when there is none
+    (the pop leaves the queues unchanged then)."""
 
     def pop(self, role: str, now: float) -> WorkItem | None: ...
 
@@ -154,21 +152,18 @@ class WorkerPolicy:
 
     def _try_agent(self, agent_index: int, primary_role: str,
                    now: float) -> Selection | None:
+        """The primary role's next ready item at the agent, else (role
+        dynamics on) the secondary role's.  ``pop`` returns ``None`` when
+        the role has no ready item, so it is also the availability test."""
         agent = self.agents[agent_index]
-        roles = [primary_role]
+        item = agent.pop(primary_role, now)
+        if item is not None:
+            return Selection(agent_index, primary_role, item)
         if self.role_dynamic:
-            roles.append(Roles.other(primary_role))
-        for role in roles:
-            available = (
-                agent.has_event_work(now)
-                if role == Roles.EVENT
-                else agent.has_match_work(now)
-            )
-            if not available:
-                continue
-            item = agent.pop(role, now)
+            secondary = Roles.other(primary_role)
+            item = agent.pop(secondary, now)
             if item is not None:
-                return Selection(agent_index=agent_index, role=role, item=item)
+                return Selection(agent_index, secondary, item)
         return None
 
     def _try_hop(self, unit: ExecutionUnit, now: float) -> Selection | None:

@@ -36,7 +36,7 @@ from repro.core.matches import Match, PartialMatch
 from repro.core.nfa import compile_pattern
 from repro.datasets.stocks import StockConfig, generate_stock_stream
 from repro.datasets.trips import TripConfig, generate_trip_stream
-from repro.hypersonic.agent import guard_type_names
+from repro.hypersonic.agent import AgentCore, guard_type_names
 from repro.hypersonic.items import ItemKind, WorkItem
 from repro.obs.tracer import TraceEvent, TraceRecorder
 from repro.runtime.procs import (
@@ -586,6 +586,54 @@ class TestRobustness:
             engine.run(events, timeout=60.0)
         for child in multiprocessing.active_children():
             child.join(timeout=5.0)
+        assert multiprocessing.active_children() == []
+
+
+def slow_down(monkeypatch, agent_index: int, after: int,
+              pause: float) -> None:
+    """Make the agent at *agent_index* sleep *pause* seconds before each
+    item from its *after*-th on.  Patched before the run, so ``fork``
+    workers inherit it; the program has no hook for this."""
+    process = AgentCore.process
+
+    def slowed(self, item, unit_id):
+        if self.agent_index == agent_index \
+                and self.items_processed >= after:
+            time.sleep(pause)
+        return process(self, item, unit_id)
+
+    monkeypatch.setattr(AgentCore, "process", slowed)
+
+
+@pytest.mark.wallclock
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="workers inherit the injected fault under fork")
+class TestFaultInjection:
+    @pytest.mark.parametrize("agent_index", [0, 1],
+                             ids=["first-worker", "last-worker"])
+    def test_stalled_worker_raises_within_timeout(self, agent_index,
+                                                  monkeypatch):
+        # Each worker hosts one agent; the stalled one never finishes.
+        pattern, events = stock_case()
+        slow_down(monkeypatch, agent_index, after=20, pause=60.0)
+        engine = ProcsPipelineEngine(pattern, procs=2, start_method="fork")
+        timeout = 2.0
+        started = time.monotonic()
+        with pytest.raises(EngineError, match="in time"):
+            engine.run(events, timeout=timeout)
+        assert time.monotonic() - started < timeout + 1.0
+        assert multiprocessing.active_children() == []
+
+    def test_slow_last_agent_under_backpressure(self, monkeypatch):
+        # One-message inboxes: the parent and the first worker block on
+        # the last worker's inbox for most of the run.
+        pattern, events = bench_stock_case()
+        want = {m.key for m in reference_matches(pattern, events)}
+        slow_down(monkeypatch, 1, after=0, pause=0.002)
+        engine = ProcsPipelineEngine(pattern, procs=2, queue_capacity=64,
+                                     wm_interval=64, start_method="fork")
+        got = {m.key for m in engine.run(events, timeout=120.0)}
+        assert got == want
         assert multiprocessing.active_children() == []
 
 
