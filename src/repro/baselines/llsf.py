@@ -23,13 +23,11 @@ units:
 
 from __future__ import annotations
 
-import math
-from typing import Iterator, Sequence
+from typing import Iterator
 
-from repro.core.events import Event
 from repro.core.patterns import Pattern
 from repro.core.streams import Lookahead
-from repro.baselines.partitioned import Partition, PartitionSpan, PartitionedEngine
+from repro.baselines.partitioned import PartitionSpan, PartitionedEngine
 
 __all__ = ["WindowSegmentEngine", "RREngine", "JSQEngine", "LLSFEngine"]
 
@@ -37,46 +35,15 @@ __all__ = ["WindowSegmentEngine", "RREngine", "JSQEngine", "LLSFEngine"]
 class WindowSegmentEngine(PartitionedEngine):
     """Common segmentation; subclasses choose the assignment policy."""
 
-    def partitions(self, events: Sequence[Event]) -> Iterator[Partition]:
-        if not events:
-            return
-        window = self.pattern.window
-        origin = events[0].timestamp
-        span = events[-1].timestamp - origin
-        num_segments = max(1, int(math.floor(span / window)) + 1)
-        # Single pass building per-segment slices: segment k covers
-        # [origin + kW, origin + (k+1)W) and reads up to origin + (k+2)W.
-        starts: list[int] = [len(events)] * (num_segments + 2)
-        for position, event in enumerate(events):
-            segment = min(int((event.timestamp - origin) / window),
-                          num_segments - 1)
-            if position < starts[segment]:
-                starts[segment] = position
-        # Fill gaps (empty segments) so slice boundaries are monotone.
-        for segment in range(len(starts) - 2, -1, -1):
-            starts[segment] = min(starts[segment], starts[segment + 1])
-        for segment in range(num_segments):
-            begin = starts[segment]
-            end = starts[segment + 2] if segment + 2 < len(starts) else len(events)
-            if begin >= end:
-                continue
-            yield Partition(
-                index=segment,
-                events=tuple(events[begin:end]),
-                own_start=origin + segment * window,
-                own_end=origin + (segment + 1) * window,
-                own_start_id=-1,
-                own_end_id=-1,
-            )
-
     def spans(self, stream: Lookahead) -> Iterator[PartitionSpan]:
-        """Streaming equivalent of :meth:`partitions`.
-
-        Segment ``k``'s span ends where segment ``k + 2`` begins, so a
-        span is final as soon as the first event two segments ahead is
-        seen — a lookahead of at most two windows of events.  Empty
-        segments inherit the next segment's start (the gap-filling of the
-        batch path) and are skipped when that leaves them without events.
+        """Segment ``k`` owns the events in ``[origin + kW, origin +
+        (k + 1)W)``, and its span runs from its first event to where
+        segment ``k + 2`` begins, and on past that through any event at
+        most one window after the segment's last event.  So a span is
+        final soon after the first event two segments ahead is seen — a
+        lookahead of about two windows of events.  An empty segment's span
+        starts where the next segment starts, and is skipped when that
+        leaves it without events.
         """
         first = stream.get(0)
         if first is None:
@@ -84,8 +51,37 @@ class WindowSegmentEngine(PartitionedEngine):
         window = self.pattern.window
         origin = first.timestamp
 
-        def emit(segment: int, starts: list[int],
-                 end: int) -> Iterator[PartitionSpan]:
+        def bound(segment: int) -> float:
+            return origin + segment * window
+
+        def segment_of(timestamp: float) -> int:
+            # The quotient can round across a bound; settle it against the
+            # bounds that ownership uses, or an event lands in a span that
+            # does not own it.
+            segment = int((timestamp - origin) / window)
+            while timestamp >= bound(segment + 1):
+                segment += 1
+            while timestamp < bound(segment):
+                segment -= 1
+            return segment
+
+        def reach(segment: int) -> int:
+            # Bounds are rounded one by one, so two of them can lie a hair
+            # less than a window apart and an event that joins (or, as a
+            # trailing negation guard, voids) a match of the segment can
+            # be the first event of segment + 2.
+            end = starts[segment + 2]
+            last = starts[segment + 1] - 1
+            if last >= starts[segment]:
+                horizon = stream.get(last).timestamp + window
+                while True:
+                    event = stream.get(end)
+                    if event is None or event.timestamp > horizon:
+                        break
+                    end += 1
+            return end
+
+        def emit(segment: int, end: int) -> Iterator[PartitionSpan]:
             begin = starts[segment]
             if begin >= end:
                 return
@@ -94,8 +90,8 @@ class WindowSegmentEngine(PartitionedEngine):
                 begin=begin,
                 end=end,
                 size=end - begin,
-                own_start=origin + segment * window,
-                own_end=origin + (segment + 1) * window,
+                own_start=bound(segment),
+                own_end=bound(segment + 1),
                 own_start_id=-1,
                 own_end_id=-1,
             )
@@ -108,25 +104,24 @@ class WindowSegmentEngine(PartitionedEngine):
             event = stream.get(position)
             if event is None:
                 break
-            segment = int((event.timestamp - origin) / window)
+            segment = segment_of(event.timestamp)
             if segment > last_segment:
                 starts.extend([position] * (segment - last_segment))
                 last_segment = segment
                 while emitted + 2 <= last_segment:
-                    yield from emit(emitted, starts, starts[emitted + 2])
+                    yield from emit(emitted, reach(emitted))
                     emitted += 1
             position += 1
-        total = position
+        # The last two segments run to the end of the stream.
         for segment in range(emitted, last_segment + 1):
-            end = starts[segment + 2] if segment + 2 <= last_segment else total
-            yield from emit(segment, starts, end)
+            yield from emit(segment, position)
 
 
 class RREngine(WindowSegmentEngine):
     """Round-robin segment assignment."""
 
-    def assign_unit(self, partition, unit_loads: list[float]) -> int:
-        return partition.index % self.num_units
+    def assign_unit(self, span, unit_loads: list[float]) -> int:
+        return span.index % self.num_units
 
 
 class JSQEngine(WindowSegmentEngine):
@@ -140,19 +135,19 @@ class JSQEngine(WindowSegmentEngine):
         super().__init__(pattern, num_units)
         self._pending = [0] * num_units
 
-    def assign_unit(self, partition, unit_loads: list[float]) -> int:
+    def assign_unit(self, span, unit_loads: list[float]) -> int:
         unit = min(range(self.num_units), key=lambda i: self._pending[i])
-        self._pending[unit] += partition.size
+        self._pending[unit] += span.size
         return unit
 
 
 class LLSFEngine(WindowSegmentEngine):
     """Least-loaded-server-first: least accumulated measured load wins.
 
-    ``unit_loads`` carries the comparisons+events performed so far per
-    unit, maintained by the shared :class:`PartitionedEngine` runner —
-    the greedy heuristic Xiao et al. found strongest.
+    ``unit_loads`` carries the virtual time each unit has spent so far,
+    maintained by the partition simulator — the greedy heuristic Xiao et
+    al. found strongest.
     """
 
-    def assign_unit(self, partition, unit_loads: list[float]) -> int:
+    def assign_unit(self, span, unit_loads: list[float]) -> int:
         return min(range(self.num_units), key=lambda i: unit_loads[i])

@@ -1,4 +1,4 @@
-"""Shared machinery for data-parallel baselines (RIP, RR/JSQ/LLSF).
+"""Shared description of the data-parallel baselines (RIP, RR/JSQ/LLSF).
 
 Both families split the input stream into *partitions* (overlapping
 sub-streams), run an independent sequential matcher per partition, and
@@ -8,24 +8,27 @@ window can form a match, partitions must overlap by (at least) one window
 length — the stream-duplication cost that is inherent to data-parallel CEP
 and that HYPERSONIC's design avoids (paper Sections 1 and 4).
 
-Concrete strategies provide:
-  * the partition boundaries and replication ranges,
-  * the partition -> execution-unit assignment policy.
+A strategy is a description only.  It provides:
+  * :meth:`PartitionedEngine.spans` — its partitions as stream-position
+    ranges, in ``begin`` order, with bounded lookahead;
+  * :meth:`PartitionedEngine.assign_unit` — the partition -> execution-unit
+    assignment policy.
+
+:class:`repro.simulator.partition_sim.PartitionSimulation` is the one
+runner: it feeds each span's events to its own sequential matcher and keeps
+the matches the span owns.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from dataclasses import dataclass
+from typing import Iterator
 
-from repro.core.events import Event
 from repro.core.matches import Match
 from repro.core.patterns import Pattern
-from repro.core.policies import resolve_matches
 from repro.core.streams import Lookahead
-from repro.engine.sequential import SequentialEngine
 
-__all__ = ["Partition", "PartitionSpan", "PartitionMetrics", "PartitionedEngine"]
+__all__ = ["PartitionSpan", "PartitionedEngine"]
 
 
 def _owns_key(match: Match) -> tuple[float, int]:
@@ -36,46 +39,16 @@ def _owns_key(match: Match) -> tuple[float, int]:
 
 
 @dataclass(frozen=True)
-class Partition:
-    """One unit of data-parallel work.
-
-    ``events`` is the partition's full (overlapping) substream; ``owns``
-    decides whether a match's earliest event belongs to this partition.
-    """
-
-    index: int
-    events: tuple[Event, ...]
-    own_start: float          # ownership range in (timestamp, event_id) space
-    own_end: float
-    own_start_id: int = -1
-    own_end_id: int = 1 << 62
-
-    @property
-    def size(self) -> int:
-        """Number of input events — the queue-length proxy JSQ balances on."""
-        return len(self.events)
-
-    def owns(self, match: Match) -> bool:
-        key = _owns_key(match)
-        return (self.own_start, self.own_start_id) <= key < (
-            self.own_end,
-            self.own_end_id,
-        )
-
-
-@dataclass(frozen=True)
 class PartitionSpan:
-    """A partition described by stream *positions* instead of materialized
-    event tuples — the streaming-simulation counterpart of
-    :class:`Partition`.
+    """One unit of data-parallel work, described by stream *positions*.
 
     ``begin`` is the stream position of the partition's first input event;
     ``end`` is the exclusive position past its last (``None`` meaning the
     partition runs to the end of the stream); ``size`` is its input-event
-    count (``end - begin`` when bounded).  Ownership semantics are exactly
-    those of :class:`Partition.owns`.  Spans are produced in ``begin``
-    order by :meth:`PartitionedEngine.spans` with bounded lookahead, so the
-    simulator never needs the whole stream in memory.
+    count (``end - begin`` when bounded), the queue-length proxy JSQ
+    balances on.  The partition owns a match when the match's earliest
+    event lies in ``[(own_start, own_start_id), (own_end, own_end_id))``
+    in ``(timestamp, event_id)`` order.
     """
 
     index: int
@@ -100,34 +73,10 @@ class PartitionSpan:
         )
 
 
-@dataclass
-class PartitionMetrics:
-    """Aggregated work/duplication counters across all partitions."""
-
-    events_ingested: int = 0
-    events_replicated: int = 0       # total partition inputs minus stream size
-    comparisons: int = 0
-    matches_before_dedup: int = 0
-    matches_emitted: int = 0
-    partitions: int = 0
-    peak_memory_items: int = 0       # sum over units of their peak buffers
-    per_unit_comparisons: list[int] = field(default_factory=list)
-    per_unit_events: list[int] = field(default_factory=list)
-
-    @property
-    def duplication_factor(self) -> float:
-        if self.events_ingested == 0:
-            return 0.0
-        return (
-            self.events_ingested + self.events_replicated
-        ) / self.events_ingested
-
-
 class PartitionedEngine:
-    """Run one sequential matcher per partition and merge the results.
+    """A partition strategy: how the stream splits and who runs each part.
 
-    Subclasses implement :meth:`partitions` (how the stream splits) and
-    :meth:`assign_unit` (which unit runs each partition).
+    Subclasses implement :meth:`spans` and :meth:`assign_unit`.
     """
 
     def __init__(self, pattern: Pattern, num_units: int) -> None:
@@ -135,93 +84,16 @@ class PartitionedEngine:
             raise ValueError("need at least one execution unit")
         self.pattern = pattern
         self.num_units = num_units
-        self.metrics = PartitionMetrics()
-
-    # -- strategy hooks -------------------------------------------------- #
-
-    def partitions(self, events: Sequence[Event]) -> Iterable[Partition]:
-        raise NotImplementedError
-
-    def assign_unit(self, partition: "Partition | PartitionSpan",
-                    unit_loads: list[float]) -> int:
-        raise NotImplementedError
 
     def spans(self, stream: Lookahead) -> Iterator[PartitionSpan]:
         """Yield :class:`PartitionSpan`\\ s in ``begin`` order from a
-        single-pass stream.
+        single-pass stream, peeking at most a bounded distance ahead of
+        the span being built, so the simulator's resident events stay
+        bounded by the window rather than the stream length."""
+        raise NotImplementedError
 
-        The base implementation drains *stream* and delegates to
-        :meth:`partitions` — correct for any subclass, but it materializes
-        the whole stream.  The built-in strategies override this with
-        bounded-lookahead generators (a chunk plus a window for RIP, two
-        windows for the window-segment family), which is what keeps the
-        partition simulator's memory bounded by the window rather than the
-        stream length.
-        """
-        events: list[Event] = []
-        position = 0
-        while True:
-            event = stream.get(position)
-            if event is None:
-                break
-            events.append(event)
-            position += 1
-        index_of = {event.event_id: i for i, event in enumerate(events)}
-        parts = sorted(
-            self.partitions(events),
-            key=lambda p: index_of[p.events[0].event_id],
-        )
-        for partition in parts:
-            begin = index_of[partition.events[0].event_id]
-            yield PartitionSpan(
-                index=partition.index,
-                begin=begin,
-                end=begin + len(partition.events),
-                size=len(partition.events),
-                own_start=partition.own_start,
-                own_end=partition.own_end,
-                own_start_id=partition.own_start_id,
-                own_end_id=partition.own_end_id,
-            )
-
-    # -- execution -------------------------------------------------------- #
-
-    def run(self, events: Iterable[Event]) -> list[Match]:
-        event_list = list(events)
-        self.metrics.events_ingested = len(event_list)
-        self.metrics.per_unit_comparisons = [0] * self.num_units
-        self.metrics.per_unit_events = [0] * self.num_units
-        unit_loads = [0.0] * self.num_units
-        unit_peaks = [0] * self.num_units
-
-        results: list[Match] = []
-        total_inputs = 0
-        for partition in self.partitions(event_list):
-            self.metrics.partitions += 1
-            unit = self.assign_unit(partition, unit_loads)
-            engine = SequentialEngine(self.pattern)
-            matches = []
-            for event in partition.events:
-                matches.extend(engine.process(event))
-            matches.extend(engine.close())
-            total_inputs += len(partition.events)
-            self.metrics.matches_before_dedup += len(matches)
-            self.metrics.comparisons += engine.stats.comparisons
-            self.metrics.per_unit_comparisons[unit] += engine.stats.comparisons
-            self.metrics.per_unit_events[unit] += len(partition.events)
-            unit_loads[unit] += engine.stats.comparisons + len(partition.events)
-            peak = (
-                engine.stats.peak_partial_matches
-                + engine.stats.peak_buffered_events
-                + len(partition.events)
-            )
-            if peak > unit_peaks[unit]:
-                unit_peaks[unit] = peak
-            for match in matches:
-                if partition.owns(match):
-                    results.append(match)
-        self.metrics.events_replicated = total_inputs - len(event_list)
-        results = resolve_matches(self.pattern, results)
-        self.metrics.matches_emitted = len(results)
-        self.metrics.peak_memory_items = sum(unit_peaks)
-        return results
+    def assign_unit(self, span: PartitionSpan,
+                    unit_loads: list[float]) -> int:
+        """The unit that runs *span*; ``unit_loads`` holds the virtual
+        time each unit has spent so far."""
+        raise NotImplementedError

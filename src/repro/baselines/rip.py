@@ -13,12 +13,11 @@ paper's Figure 7.
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from typing import Iterator
 
-from repro.core.events import Event
 from repro.core.patterns import Pattern
 from repro.core.streams import Lookahead
-from repro.baselines.partitioned import Partition, PartitionSpan, PartitionedEngine
+from repro.baselines.partitioned import PartitionSpan, PartitionedEngine
 
 __all__ = ["RIPEngine"]
 
@@ -33,32 +32,11 @@ class RIPEngine(PartitionedEngine):
             raise ValueError("chunk_size must be positive")
         self.chunk_size = chunk_size
 
-    def partitions(self, events: Sequence[Event]) -> Iterator[Partition]:
-        window = self.pattern.window
-        chunk = self.chunk_size
-        for index, start in enumerate(range(0, len(events), chunk)):
-            end = min(start + chunk, len(events))
-            last_owned = events[end - 1]
-            horizon = last_owned.timestamp + window
-            extended_end = end
-            while (
-                extended_end < len(events)
-                and events[extended_end].timestamp <= horizon
-            ):
-                extended_end += 1
-            first = events[start]
-            yield Partition(
-                index=index,
-                events=tuple(events[start:extended_end]),
-                own_start=first.timestamp,
-                own_start_id=first.event_id,
-                own_end=last_owned.timestamp,
-                own_end_id=last_owned.event_id + 1,
-            )
-
     def spans(self, stream: Lookahead) -> Iterator[PartitionSpan]:
-        """Streaming equivalent of :meth:`partitions`: lookahead is one
-        chunk plus one window of events per span."""
+        """Chunk ``k`` covers positions ``[k * chunk_size, (k + 1) *
+        chunk_size)`` and owns their events; its span extends past them
+        to every later event within one window of its last owned event.
+        Lookahead is one chunk plus one window of events per span."""
         window = self.pattern.window
         chunk = self.chunk_size
         index = 0
@@ -95,5 +73,5 @@ class RIPEngine(PartitionedEngine):
             index += 1
             start += chunk
 
-    def assign_unit(self, partition, unit_loads: list[float]) -> int:
-        return partition.index % self.num_units
+    def assign_unit(self, span, unit_loads: list[float]) -> int:
+        return span.index % self.num_units

@@ -162,20 +162,6 @@ class SequentialEngine:
             return self._process_and(event)
         return self._process_or(event)
 
-    def process_batch(self, events: Iterable[Event]) -> list[Match]:
-        """Feed a micro-batch of events; return all matches completed.
-
-        The batched counterpart of :meth:`process` used by the batched
-        execution mode (``batch_size`` > 1).  Events are evaluated in
-        order, one at a time — the sequential engine is the differential
-        oracle for every batched strategy, so its semantics must remain
-        exactly those of consecutive :meth:`process` calls.
-        """
-        matches: list[Match] = []
-        for event in events:
-            matches.extend(self.process(event))
-        return matches
-
     def close(self) -> list[Match]:
         """Signal end of stream; release matches held back by trailing
         negation guards."""

@@ -5,37 +5,37 @@ paper's performance evaluation is reproduced on a virtual-time simulator of
 homogeneous execution units driven by the paper's own cost model; see
 DESIGN.md Section 2 for the substitution argument.
 
-Both strategy simulators run on the shared :class:`SimKernel`
+Both strategy simulators, :class:`HypersonicSimulation` and
+:class:`PartitionSimulation`, run on the shared :class:`SimKernel`
 (:mod:`repro.simulator.kernel`) and accept any event iterable through the
-:class:`WorkloadSource` protocol (:mod:`repro.simulator.sources`) — lists,
+:class:`WorkloadSource` protocol (:mod:`repro.core.streams`) — lists,
 generators, and streaming CSV readers alike, without materializing the
 stream.
 """
 
-from repro.simulator.cache import CacheModel
-from repro.simulator.hypersonic_sim import HypersonicSimulation, simulate_hypersonic
-from repro.simulator.kernel import SimKernel, WindowTracker
-from repro.simulator.metrics import LatencyAccumulator, SimResult
-from repro.simulator.partition_sim import SequentialSimEngine, simulate_partitioned
-from repro.simulator.runner import ALLOCATION_SCHEMES, STRATEGIES, simulate
-from repro.simulator.sources import (
+from repro.core.streams import (
     IterSource,
     ListSource,
     Lookahead,
     WorkloadSource,
     as_source,
 )
+from repro.simulator.cache import CacheModel
+from repro.simulator.hypersonic_sim import HypersonicSimulation
+from repro.simulator.kernel import SimKernel, WindowTracker
+from repro.simulator.metrics import LatencyAccumulator, SimResult
+from repro.simulator.partition_sim import PartitionSimulation, SequentialSimEngine
+from repro.simulator.runner import ALLOCATION_SCHEMES, STRATEGIES, simulate
 
 __all__ = [
     "CacheModel",
     "HypersonicSimulation",
-    "simulate_hypersonic",
     "SimKernel",
     "WindowTracker",
     "LatencyAccumulator",
     "SimResult",
+    "PartitionSimulation",
     "SequentialSimEngine",
-    "simulate_partitioned",
     "ALLOCATION_SCHEMES",
     "STRATEGIES",
     "simulate",

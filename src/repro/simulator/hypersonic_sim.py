@@ -25,7 +25,7 @@ policy, latency reservoir, window payload accounting, result assembly —
 lives in the shared :class:`~repro.simulator.kernel.SimKernel`; this module
 keeps only the agent-chain semantics (splitter routing, unit wake/park,
 receipt routing, flush).  Input may be any iterable: a plain list, a
-generator, or a :class:`~repro.simulator.sources.WorkloadSource`; a
+generator, or a :class:`~repro.core.streams.WorkloadSource`; a
 non-list stream is consumed in a single pass and never materialized.
 """
 
@@ -39,6 +39,7 @@ from repro.core.events import Event
 from repro.core.matches import Match
 from repro.core.patterns import Pattern
 from repro.core.policies import resolve_matches
+from repro.core.streams import as_source
 from repro.costmodel.model import CostParameters, WorkloadStatistics
 from repro.hypersonic.buffers import BufferSnapshot
 from repro.hypersonic.engine import HypersonicConfig, HypersonicEngine
@@ -49,9 +50,8 @@ from repro.obs.tracer import Tracer
 from repro.simulator.cache import CacheModel
 from repro.simulator.kernel import SimKernel
 from repro.simulator.metrics import SimResult
-from repro.simulator.sources import as_source
 
-__all__ = ["HypersonicSimulation", "simulate_hypersonic"]
+__all__ = ["HypersonicSimulation"]
 
 _INJECT = 0
 _WAKE = 1
@@ -621,43 +621,3 @@ class HypersonicSimulation:
             + queued
         )
 
-
-def simulate_hypersonic(
-    pattern: Pattern,
-    events: Iterable[Event],
-    num_units: int,
-    config: HypersonicConfig | None = None,
-    stats: WorkloadStatistics | None = None,
-    costs: CostParameters | None = None,
-    cache: CacheModel | None = None,
-    inflight_cap: int = 96,
-    strategy_name: str = "hypersonic",
-    pace: float | None = None,
-    tracer: Tracer | None = None,
-    model_costs: CostParameters | None = None,
-    batch_size: int = 1,
-    adapt: str = "off",
-    shed_bound: int = 0,
-    shed_policy: str | None = None,
-    slos=None,
-) -> SimResult:
-    """Convenience wrapper: build, simulate, return the result."""
-    simulation = HypersonicSimulation(
-        pattern,
-        num_units,
-        config=config,
-        stats=stats,
-        costs=costs,
-        cache=cache,
-        inflight_cap=inflight_cap,
-        strategy_name=strategy_name,
-        pace=pace,
-        tracer=tracer,
-        model_costs=model_costs,
-        batch_size=batch_size,
-        adapt=adapt,
-        shed_bound=shed_bound,
-        shed_policy=shed_policy,
-        slos=slos,
-    )
-    return simulation.run(events)

@@ -14,13 +14,16 @@ duplication (the whole point of Figure 9's comparison).
 
 Correctness is preserved exactly as in the functional engines: matches are
 deduplicated by the ownership rule and the simulated run returns the full
-match set.
+match set.  :class:`PartitionSimulation` is the only runner of the partition
+strategies: each strategy only describes its partitions
+(:meth:`~repro.baselines.partitioned.PartitionedEngine.spans`) and their
+unit assignment.
 
 The discrete-event machinery (unit accounting, backpressure, latency
 reservoir, window payload tracking, result assembly) is the shared
 :class:`~repro.simulator.kernel.SimKernel`; this module keeps only the
 partition activate/feed/retire semantics.  Input may be a list, a
-generator, or a :class:`~repro.simulator.sources.WorkloadSource`: events
+generator, or a :class:`~repro.core.streams.WorkloadSource`: events
 are consumed in one pass through a bounded
 :class:`~repro.core.streams.Lookahead`, and partitions arrive as
 :class:`~repro.baselines.partitioned.PartitionSpan` streams (bounded
@@ -31,22 +34,22 @@ bounded by the window rather than the stream length.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from repro.core.events import Event
 from repro.core.matches import Match
 from repro.core.patterns import Pattern
 from repro.core.policies import resolve_matches
+from repro.core.streams import Lookahead, as_source
 from repro.costmodel.model import CostParameters
-from repro.baselines.partitioned import Partition, PartitionSpan, PartitionedEngine
+from repro.baselines.partitioned import PartitionSpan, PartitionedEngine
 from repro.engine.sequential import SequentialEngine
 from repro.obs.tracer import Tracer
 from repro.simulator.cache import CacheModel
 from repro.simulator.kernel import SimKernel
 from repro.simulator.metrics import SimResult
-from repro.simulator.sources import Lookahead, as_source
 
-__all__ = ["SequentialSimEngine", "simulate_partitioned"]
+__all__ = ["SequentialSimEngine", "PartitionSimulation"]
 
 
 class SequentialSimEngine(PartitionedEngine):
@@ -56,18 +59,6 @@ class SequentialSimEngine(PartitionedEngine):
 
     def __init__(self, pattern: Pattern) -> None:
         super().__init__(pattern, num_units=1)
-
-    def partitions(self, events: Sequence[Event]):
-        if not events:
-            return
-        yield Partition(
-            index=0,
-            events=tuple(events),
-            own_start=float("-inf"),
-            own_end=float("inf"),
-            own_start_id=-1,
-            own_end_id=1 << 62,
-        )
 
     def spans(self, stream: Lookahead):
         if stream.get(0) is None:
@@ -83,7 +74,7 @@ class SequentialSimEngine(PartitionedEngine):
             own_end_id=1 << 62,
         )
 
-    def assign_unit(self, partition, unit_loads: list[float]) -> int:
+    def assign_unit(self, span, unit_loads: list[float]) -> int:
         return 0
 
 
@@ -95,187 +86,220 @@ class _ActiveRun:
     comparisons_seen: int = 0
 
 
-def simulate_partitioned(
-    engine: PartitionedEngine,
-    events: Iterable[Event],
-    costs: CostParameters | None = None,
-    cache: CacheModel | None = None,
-    inflight_cap: int = 96,
-    snapshot_interval: int = 128,
-    strategy_name: str | None = None,
-    reported_units: int | None = None,
-    pace: float | None = None,
-    seed: int = 7,
-    tracer: Tracer | None = None,
-) -> SimResult:
-    """Simulate *engine* (a partition strategy) over *events*.
+class PartitionSimulation:
+    """One simulated run of a partition strategy on a finite stream.
 
     In traces and the obs summary, each partition run appears as an
     "agent" (its partition index); the dispatcher's in-flight task count
     is sampled as agent ``-1``'s ``inflight`` channel.
     """
-    costs = costs if costs is not None else CostParameters()
-    cache = cache if cache is not None else CacheModel()
-    name = strategy_name or type(engine).__name__.replace("Engine", "").lower()
 
-    kernel = SimKernel(
-        engine.num_units,
-        window=engine.pattern.window,
-        inflight_cap=inflight_cap,
-        pace=pace,
-        snapshot_interval=snapshot_interval,
-        latency_seed=seed,
-        tracer=tracer,
-        costs=costs,
-    )
-    tracer = kernel.tracer
-    num_units = engine.num_units
-    unit_loads = [0.0] * num_units
-
-    stream = Lookahead(as_source(events))
-    span_iter = engine.spans(stream)
-    pending_span = next(span_iter, None)
-
-    matches: list[Match] = []
-    total_comparisons = 0
-    total_work = 0.0
-    total_tasks = 0
-    events_seen = 0
-    partitions_seen = 0
-    inject = 0.0
-    active: list[_ActiveRun] = []
-
-    def task(run: _ActiveRun, cost: float, arrival: float,
-             owned_matches: list[Match], kind: str = "event") -> None:
-        nonlocal total_work, total_tasks
-        start, done = kernel.run_task(run.unit, arrival, cost)
-        unit_loads[run.unit] += cost
-        total_work += cost
-        total_tasks += 1
-        if tracer.enabled:
-            tracer.unit_busy(
-                start, cost, run.unit, run.span.index, "task", kind
-            )
-        for match in owned_matches:
-            matches.append(match)
-            kernel.latency.add(done - arrival)
-            if tracer.enabled:
-                tracer.match(done, run.span.index, done - arrival)
-
-    def event_cost(run: _ActiveRun) -> float:
-        nonlocal total_comparisons
-        delta = run.engine.stats.comparisons - run.comparisons_seen
-        run.comparisons_seen = run.engine.stats.comparisons
-        total_comparisons += delta
-        scan = scan_sq = 0
-        for size in run.engine.pool_sizes():
-            scan += size
-            scan_sq += size * size
-        penalty = cache.comparison_penalty(scan, scan_sq)
-        return (
-            delta * costs.comparison * penalty
-            + cache.scan_cost(scan, scan_sq)
+    def __init__(
+        self,
+        engine: PartitionedEngine,
+        costs: CostParameters | None = None,
+        cache: CacheModel | None = None,
+        inflight_cap: int = 96,
+        snapshot_interval: int = 128,
+        strategy_name: str | None = None,
+        reported_units: int | None = None,
+        pace: float | None = None,
+        seed: int = 7,
+        tracer: Tracer | None = None,
+    ) -> None:
+        self.engine = engine
+        self.costs = costs if costs is not None else CostParameters()
+        self.cache = cache if cache is not None else CacheModel()
+        self.strategy_name = (
+            strategy_name
+            or type(engine).__name__.replace("Engine", "").lower()
         )
+        self.reported_units = reported_units
+        self.pace = pace
+        self.kernel = SimKernel(
+            engine.num_units,
+            window=engine.pattern.window,
+            inflight_cap=inflight_cap,
+            pace=pace,
+            snapshot_interval=snapshot_interval,
+            latency_seed=seed,
+            tracer=tracer,
+            costs=self.costs,
+        )
+        self.tracer = self.kernel.tracer
+        self._matches: list[Match] = []
 
-    position = 0
-    while True:
-        event = stream.get(position)
-        if event is None:
-            break
-        events_seen += 1
-        if pace is not None:
-            # Open-loop paced arrival for the latency measurement pass.
-            inject = position * pace
-        else:
-            # Closed-loop backpressure.
-            inject = kernel.drain_backpressure(inject)
-        # Activate partitions starting here.  Spans arrive in begin order
-        # with bounded lookahead; pulling the next one may peek the stream
-        # ahead of this position, never behind it.
-        while pending_span is not None and pending_span.begin <= position:
-            span = pending_span
-            unit = engine.assign_unit(span, unit_loads)
-            partitions_seen += 1
+    @property
+    def matches(self) -> list[Match]:
+        """The resolved match list of the run."""
+        return self._matches
+
+    def run(self, events: Iterable[Event]) -> SimResult:
+        """Simulate the strategy over *events*, consumed in one pass."""
+        engine = self.engine
+        kernel = self.kernel
+        tracer = self.tracer
+        costs = self.costs
+        cache = self.cache
+        pace = self.pace
+        num_units = engine.num_units
+        unit_loads = [0.0] * num_units
+
+        stream = Lookahead(as_source(events))
+        span_iter = engine.spans(stream)
+        pending_span = next(span_iter, None)
+
+        matches: list[Match] = []
+        total_comparisons = 0
+        total_work = 0.0
+        total_tasks = 0
+        events_seen = 0
+        partitions_seen = 0
+        inject = 0.0
+        active: list[_ActiveRun] = []
+
+        def task(run: _ActiveRun, cost: float, arrival: float,
+                 owned_matches: list[Match], kind: str = "event") -> None:
+            nonlocal total_work, total_tasks
+            start, done = kernel.run_task(run.unit, arrival, cost)
+            unit_loads[run.unit] += cost
+            total_work += cost
+            total_tasks += 1
             if tracer.enabled:
-                tracer.partition_start(inject, span.index, unit)
-            active.append(
-                _ActiveRun(
-                    span=span,
-                    unit=unit,
-                    engine=SequentialEngine(engine.pattern),
+                tracer.unit_busy(
+                    start, cost, run.unit, run.span.index, "task", kind
                 )
+            for match in owned_matches:
+                matches.append(match)
+                kernel.latency.add(done - arrival)
+                if tracer.enabled:
+                    tracer.match(done, run.span.index, done - arrival)
+
+        def event_cost(run: _ActiveRun) -> float:
+            nonlocal total_comparisons
+            delta = run.engine.stats.comparisons - run.comparisons_seen
+            run.comparisons_seen = run.engine.stats.comparisons
+            total_comparisons += delta
+            scan = scan_sq = 0
+            for size in run.engine.pool_sizes():
+                scan += size
+                scan_sq += size * size
+            penalty = cache.comparison_penalty(scan, scan_sq)
+            return (
+                delta * costs.comparison * penalty
+                + cache.scan_cost(scan, scan_sq)
             )
-            pending_span = next(span_iter, None)
-        # Retire finished partitions.
-        still_active = []
-        for run in active:
-            if run.span.end is not None and position >= run.span.end:
-                closing = [
-                    match
-                    for match in run.engine.close()
-                    if run.span.owns(match)
-                ]
-                if closing:
-                    cost = event_cost(run) + len(closing) * costs.queue_push
-                    task(run, cost, inject, closing, kind="close")
+
+        position = 0
+        while True:
+            event = stream.get(position)
+            if event is None:
+                break
+            events_seen += 1
+            if pace is not None:
+                # Open-loop paced arrival for the latency measurement
+                # pass.
+                inject = position * pace
             else:
-                still_active.append(run)
-        active = still_active
-
-        replicas = sum(1 for run in active if run.span.contains(position))
-        if pace is None:
-            inject += max(replicas, 1) * costs.queue_push
-        for run in active:
-            if not run.span.contains(position):
-                continue
-            emitted = run.engine.process(event)
-            owned = [m for m in emitted if run.span.owns(m)]
-            cost = event_cost(run) + len(emitted) * costs.queue_push
-            task(run, cost, inject, owned)
-
-        kernel.window.observe(event.timestamp, event.payload_size)
-        if kernel.snapshot_due(position):
-            if tracer.enabled:
-                tracer.queue_depth(inject, -1, "inflight", kernel.in_flight)
-            # Shared-heap accounting (see EXPERIMENTS.md): raw in-window
-            # payload counted once system-wide; each replica pays for its
-            # own derived state (partial matches and buffers) in pointers.
-            pointer_total = 0
-            match_total = 0
-            for run in active:
-                pointers, _payload = run.engine.memory_profile(
-                    costs.pointer_size
+                # Closed-loop backpressure.
+                inject = kernel.drain_backpressure(inject)
+            # Activate partitions starting here.  Spans arrive in begin
+            # order with bounded lookahead; pulling the next one may peek
+            # the stream ahead of this position, never behind it.
+            while (pending_span is not None
+                   and pending_span.begin <= position):
+                span = pending_span
+                unit = engine.assign_unit(span, unit_loads)
+                partitions_seen += 1
+                if tracer.enabled:
+                    tracer.partition_start(inject, span.index, unit)
+                active.append(
+                    _ActiveRun(
+                        span=span,
+                        unit=unit,
+                        engine=SequentialEngine(engine.pattern),
+                    )
                 )
-                pointer_total += pointers
-                match_total += run.engine.buffered_match_count()
-            kernel.note_memory(
-                pointer_total * costs.pointer_size
-                + match_total * costs.match_overhead
-                + kernel.window.payload
+                pending_span = next(span_iter, None)
+            # Retire finished partitions.
+            still_active = []
+            for run in active:
+                if run.span.end is not None and position >= run.span.end:
+                    closing = [
+                        match
+                        for match in run.engine.close()
+                        if run.span.owns(match)
+                    ]
+                    if closing:
+                        cost = (event_cost(run)
+                                + len(closing) * costs.queue_push)
+                        task(run, cost, inject, closing, kind="close")
+                else:
+                    still_active.append(run)
+            active = still_active
+
+            replicas = sum(
+                1 for run in active if run.span.contains(position)
             )
-        position += 1
-        stream.release(position)
+            if pace is None:
+                inject += max(replicas, 1) * costs.queue_push
+            for run in active:
+                if not run.span.contains(position):
+                    continue
+                emitted = run.engine.process(event)
+                owned = [m for m in emitted if run.span.owns(m)]
+                cost = event_cost(run) + len(emitted) * costs.queue_push
+                task(run, cost, inject, owned)
 
-    # Retire the tail partitions.
-    for run in active:
-        closing = [
-            match for match in run.engine.close() if run.span.owns(match)
-        ]
-        cost = event_cost(run) + len(closing) * costs.queue_push
-        task(run, cost, inject, closing, kind="close")
+            kernel.window.observe(event.timestamp, event.payload_size)
+            if kernel.snapshot_due(position):
+                if tracer.enabled:
+                    tracer.queue_depth(
+                        inject, -1, "inflight", kernel.in_flight
+                    )
+                # Shared-heap accounting (see EXPERIMENTS.md): raw in-window
+                # payload counted once system-wide; each replica pays for
+                # its own derived state (partial matches and buffers) in
+                # pointers.
+                pointer_total = 0
+                match_total = 0
+                for run in active:
+                    pointers, _payload = run.engine.memory_profile(
+                        costs.pointer_size
+                    )
+                    pointer_total += pointers
+                    match_total += run.engine.buffered_match_count()
+                kernel.note_memory(
+                    pointer_total * costs.pointer_size
+                    + match_total * costs.match_overhead
+                    + kernel.window.payload
+                )
+            position += 1
+            stream.release(position)
 
-    kernel.now = inject
-    resolved = resolve_matches(engine.pattern, matches)
-    dedup = {match.key for match in resolved}
-    return kernel.finish(
-        strategy=name,
-        events=events_seen,
-        matches=len(dedup),
-        total_comparisons=total_comparisons,
-        total_work=total_work,
-        duplication_factor=(
-            total_tasks / events_seen if events_seen else 0.0
-        ),
-        num_units=reported_units if reported_units is not None else num_units,
-        extra={"partitions": partitions_seen},
-    )
+        # Retire the tail partitions.
+        for run in active:
+            closing = [
+                match for match in run.engine.close() if run.span.owns(match)
+            ]
+            cost = event_cost(run) + len(closing) * costs.queue_push
+            task(run, cost, inject, closing, kind="close")
+
+        kernel.now = inject
+        self._matches = resolve_matches(engine.pattern, matches)
+        dedup = {match.key for match in self._matches}
+        return kernel.finish(
+            strategy=self.strategy_name,
+            events=events_seen,
+            matches=len(dedup),
+            total_comparisons=total_comparisons,
+            total_work=total_work,
+            duplication_factor=(
+                total_tasks / events_seen if events_seen else 0.0
+            ),
+            num_units=(
+                self.reported_units if self.reported_units is not None
+                else num_units
+            ),
+            extra={"partitions": partitions_seen},
+        )

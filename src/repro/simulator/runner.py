@@ -26,17 +26,18 @@ from typing import Iterable
 
 from repro.core.errors import SimulationError
 from repro.core.events import Event
+from repro.core.nfa import compile_pattern
 from repro.core.patterns import Pattern
+from repro.core.streams import ListSource, WorkloadSource, as_source
 from repro.costmodel.model import CostParameters, WorkloadStatistics
 from repro.baselines.llsf import JSQEngine, LLSFEngine, RREngine
 from repro.baselines.rip import RIPEngine
 from repro.hypersonic.engine import HypersonicConfig
 from repro.obs.tracer import Tracer
 from repro.simulator.cache import CacheModel
-from repro.simulator.hypersonic_sim import simulate_hypersonic
+from repro.simulator.hypersonic_sim import HypersonicSimulation
 from repro.simulator.metrics import SimResult
-from repro.simulator.partition_sim import SequentialSimEngine, simulate_partitioned
-from repro.simulator.sources import ListSource, WorkloadSource, as_source
+from repro.simulator.partition_sim import PartitionSimulation, SequentialSimEngine
 
 __all__ = ["STRATEGIES", "ALLOCATION_SCHEMES", "simulate"]
 
@@ -319,24 +320,9 @@ def _run_once(
     shed_policy: str | None = None,
     slos=None,
 ) -> SimResult:
-    if strategy == "sequential":
-        return simulate_partitioned(
-            SequentialSimEngine(pattern),
-            source,
-            costs=costs,
-            cache=cache,
-            inflight_cap=inflight_cap,
-            strategy_name="sequential",
-            reported_units=1,
-            pace=pace,
-            seed=seed,
-            tracer=tracer,
-        )
     if strategy in ("hypersonic", "state"):
         if strategy == "state":
-            from repro.core.nfa import compile_pattern
-
-            num_agents = compile_pattern(pattern).num_stages - 1
+            num_units = compile_pattern(pattern).num_stages - 1
             config = HypersonicConfig(
                 role_dynamic=True,
                 agent_dynamic=False,
@@ -347,44 +333,26 @@ def _run_once(
             # its channel capacity is sized to those units — extra cores
             # must not change its behaviour (Figure 7 shows it flat in the
             # core count).
-            state_cap = max(64, 24 * num_agents)
-            return simulate_hypersonic(
-                pattern,
-                source,
-                num_units=num_agents,
-                config=config,
-                stats=stats,
-                costs=costs,
-                cache=cache,
-                inflight_cap=min(inflight_cap, state_cap),
-                strategy_name="state",
-                pace=pace,
-                tracer=tracer,
-                model_costs=model_costs,
-                batch_size=batch_size,
-                adapt=adapt,
-                shed_bound=shed_bound,
-                shed_policy=shed_policy,
-                slos=slos,
+            inflight_cap = min(inflight_cap, max(64, 24 * num_units))
+        else:
+            num_units = num_cores
+            config = HypersonicConfig(
+                role_dynamic=role_dynamic,
+                agent_dynamic=agent_dynamic,
+                allocation=allocation,
+                fusion=fusion,
+                force_fusion_pairs=force_fusion_pairs,
+                seed=seed,
             )
-        config = HypersonicConfig(
-            role_dynamic=role_dynamic,
-            agent_dynamic=agent_dynamic,
-            allocation=allocation,
-            fusion=fusion,
-            force_fusion_pairs=force_fusion_pairs,
-            seed=seed,
-        )
-        return simulate_hypersonic(
+        return HypersonicSimulation(
             pattern,
-            source,
-            num_units=num_cores,
+            num_units,
             config=config,
             stats=stats,
             costs=costs,
             cache=cache,
             inflight_cap=inflight_cap,
-            strategy_name="hypersonic",
+            strategy_name=strategy,
             pace=pace,
             tracer=tracer,
             model_costs=model_costs,
@@ -393,8 +361,10 @@ def _run_once(
             shed_bound=shed_bound,
             shed_policy=shed_policy,
             slos=slos,
-        )
-    if strategy == "rip":
+        ).run(source)
+    if strategy == "sequential":
+        engine = SequentialSimEngine(pattern)
+    elif strategy == "rip":
         engine = RIPEngine(pattern, num_cores, chunk_size=chunk_size)
     elif strategy == "rr":
         engine = RREngine(pattern, num_cores)
@@ -402,9 +372,8 @@ def _run_once(
         engine = JSQEngine(pattern, num_cores)
     else:
         engine = LLSFEngine(pattern, num_cores)
-    return simulate_partitioned(
+    return PartitionSimulation(
         engine,
-        source,
         costs=costs,
         cache=cache,
         inflight_cap=inflight_cap,
@@ -412,4 +381,4 @@ def _run_once(
         pace=pace,
         seed=seed,
         tracer=tracer,
-    )
+    ).run(source)

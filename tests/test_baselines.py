@@ -1,9 +1,13 @@
 """Tests for the baseline parallelization strategies."""
 
-import pytest
+import math
 
-from tests.conftest import make_stream, reference_matches
-from repro.core import Pattern
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from tests.conftest import TYPES, make_stream, reference_matches
+from repro.core import Event, Pattern
+from repro.core.streams import Lookahead, as_source
 from repro.engine import assert_equivalent
 from repro.baselines import (
     JSQEngine,
@@ -12,6 +16,7 @@ from repro.baselines import (
     RREngine,
     StateParallelEngine,
 )
+from repro.simulator import PartitionSimulation, SequentialSimEngine
 
 PATTERNS = [
     Pattern.sequence(["A", "B", "C"], window=6.0),
@@ -21,6 +26,31 @@ PATTERNS = [
 ]
 
 ENGINES = [RIPEngine, RREngine, JSQEngine, LLSFEngine]
+SEGMENT_ENGINES = [RREngine, JSQEngine, LLSFEngine]
+
+#: Streams on which rounding at a window-segment bound decides a match:
+#: name -> (pattern, (type, timestamp) stream, reference match count).
+BOUNDARY_CASES = {
+    # (2.3 - 0.3) / 1.0 rounds to 1.9999999999999998, but A@2.3 is owned
+    # by the segment that starts at 0.3 + 2 * 1.0 == 2.3.
+    "owner_misses_its_event": (
+        Pattern.sequence(["A", "B"], window=1.0),
+        (("A", 0.3), ("A", 1.3), ("A", 2.3), ("B", 2.5)), 1,
+    ),
+    # X@2.0 voids A@0.9999999999999999 + B@1.5 (0.9999999999999999 + 1.0
+    # rounds to 2.0) but is the first event of segment 2.
+    "guard_past_the_next_bound": (
+        Pattern.sequence(["A", "B", "X"], window=1.0, negated=[2]),
+        (("A", 0.0), ("A", 0.9999999999999999), ("B", 1.5), ("X", 2.0)), 0,
+    ),
+}
+
+
+def simulated(engine, events):
+    """Run *engine* through the partition simulator: (result, matches)."""
+    sim = PartitionSimulation(engine)
+    result = sim.run(events)
+    return result, sim.matches
 
 
 @pytest.mark.parametrize("pattern", PATTERNS, ids=lambda p: p.describe())
@@ -28,7 +58,7 @@ ENGINES = [RIPEngine, RREngine, JSQEngine, LLSFEngine]
 def test_partitioned_equivalence(pattern, engine_cls):
     events = make_stream(num_events=600, seed=21)
     reference = reference_matches(pattern, events)
-    got = engine_cls(pattern, num_units=4).run(events)
+    _, got = simulated(engine_cls(pattern, num_units=4), events)
     assert_equivalent(reference, got, engine_cls.__name__)
 
 
@@ -42,27 +72,79 @@ def test_state_parallel_equivalence(pattern):
     assert engine.num_agents == 2
 
 
-class TestRIPStructure:
-    def test_chunks_cover_stream_without_loss(self):
-        pattern = Pattern.sequence(["A", "B"], window=4.0)
-        events = make_stream(num_events=300, seed=23)
-        engine = RIPEngine(pattern, num_units=3, chunk_size=50)
-        partitions = list(engine.partitions(events))
-        assert sum(
-            1 for p in partitions
-        ) == (len(events) + 49) // 50
-        # Ownership ranges tile the stream.
-        owned = 0
-        for partition in partitions:
-            owned += sum(
-                1
-                for event in events
-                if (partition.own_start, partition.own_start_id)
-                <= (event.timestamp, event.event_id)
-                < (partition.own_end, partition.own_end_id)
-            )
-        assert owned == len(events)
+# --------------------------------------------------------------------- #
+# Spans                                                                  #
+# --------------------------------------------------------------------- #
 
+@st.composite
+def gappy_streams(draw):
+    """A window and an in-order stream whose gaps may exceed it, so some
+    window segments hold no event of their own.  A step either adds a
+    gap or moves to a segment bound ahead, nudged by at most one ulp,
+    where rounding decides which segment an event falls in."""
+    window = draw(st.floats(min_value=0.1, max_value=4.0))
+    origin = draw(st.floats(min_value=0.0, max_value=10.0))
+    steps = draw(st.lists(st.one_of(
+        st.floats(min_value=0.0, max_value=3 * window),
+        st.tuples(st.integers(1, 3), st.integers(-1, 1)),
+    ), max_size=25))
+    events = [Event(TYPES["A"], origin, {})]
+    timestamp = origin
+    for step in steps:
+        if isinstance(step, tuple):
+            ahead, nudge = step
+            segment = int((timestamp - origin) / window) + ahead
+            bound = origin + segment * window
+            if nudge:
+                bound = math.nextafter(bound, nudge * math.inf)
+            timestamp = max(timestamp, bound)
+        else:
+            timestamp += step
+        events.append(Event(TYPES["A"], timestamp, {}))
+    return window, events
+
+
+SPAN_STRATEGIES = {
+    "rip": lambda pattern, chunk: RIPEngine(pattern, 2, chunk_size=chunk),
+    "rr": lambda pattern, chunk: RREngine(pattern, 2),
+    "jsq": lambda pattern, chunk: JSQEngine(pattern, 2),
+    "llsf": lambda pattern, chunk: LLSFEngine(pattern, 2),
+    "sequential": lambda pattern, chunk: SequentialSimEngine(pattern),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(stream=gappy_streams(),
+       strategy=st.sampled_from(sorted(SPAN_STRATEGIES)),
+       chunk=st.integers(min_value=1, max_value=20))
+def test_spans_own_each_event_once_with_its_window(stream, strategy, chunk):
+    """Spans arrive in ``begin`` order, every event has exactly one owning
+    span, and that span holds the event and every later event up to the
+    event's timestamp plus one window (the horizon of a trailing negation
+    guard, which also bounds every join) — so the owner sees every match
+    the event starts and every event that can void one."""
+    window, events = stream
+    pattern = Pattern.sequence(["A", "B"], window=window)
+    engine = SPAN_STRATEGIES[strategy](pattern, chunk)
+    spans = list(engine.spans(Lookahead(as_source(events))))
+    begins = [span.begin for span in spans]
+    assert begins == sorted(begins)
+    for position, event in enumerate(events):
+        key = (event.timestamp, event.event_id)
+        owners = [
+            span for span in spans
+            if (span.own_start, span.own_start_id) <= key
+            < (span.own_end, span.own_end_id)
+        ]
+        assert len(owners) == 1, (position, owners)
+        owner = owners[0]
+        for later in range(position, len(events)):
+            if events[later].timestamp > event.timestamp + window:
+                break
+            assert owner.contains(later), (position, later, owner)
+
+
+class TestRIPStructure:
     def test_duplication_grows_with_window(self):
         events = make_stream(num_events=400, seed=24)
 
@@ -72,8 +154,7 @@ class TestRIPStructure:
                 num_units=3,
                 chunk_size=40,
             )
-            engine.run(events)
-            return engine.metrics.duplication_factor
+            return simulated(engine, events)[0].duplication_factor
 
         assert dup(20.0) > dup(2.0)
 
@@ -81,8 +162,8 @@ class TestRIPStructure:
         pattern = Pattern.sequence(["A", "B"], window=2.0)
         engine = RIPEngine(pattern, num_units=3, chunk_size=10)
         events = make_stream(num_events=100, seed=25)
-        engine.run(events)
-        assert all(count > 0 for count in engine.metrics.per_unit_events)
+        result, _ = simulated(engine, events)
+        assert all(busy > 0 for busy in result.unit_busy)
 
     def test_invalid_chunk_size(self):
         with pytest.raises(ValueError):
@@ -93,36 +174,51 @@ class TestWindowSegments:
     def test_duplication_factor_about_two(self):
         pattern = Pattern.sequence(["A", "B"], window=5.0)
         engine = LLSFEngine(pattern, num_units=4)
-        engine.run(make_stream(num_events=600, seed=26))
-        assert 1.5 <= engine.metrics.duplication_factor <= 2.2
+        result, _ = simulated(engine, make_stream(num_events=600, seed=26))
+        assert 1.5 <= result.duplication_factor <= 2.2
 
     def test_llsf_balances_load(self):
         pattern = Pattern.sequence(["A", "B"], window=5.0)
         engine = LLSFEngine(pattern, num_units=2)
-        engine.run(make_stream(num_events=800, seed=27))
-        loads = engine.metrics.per_unit_comparisons
+        result, _ = simulated(engine, make_stream(num_events=800, seed=27))
+        loads = result.unit_busy
         assert min(loads) > 0
-        assert max(loads) < 5 * max(min(loads), 1)
+        assert max(loads) < 5 * min(loads)
 
     def test_jsq_uses_all_units(self):
         pattern = Pattern.sequence(["A", "B"], window=5.0)
         engine = JSQEngine(pattern, num_units=3)
-        engine.run(make_stream(num_events=900, seed=28))
-        assert all(count > 0 for count in engine.metrics.per_unit_events)
+        result, _ = simulated(engine, make_stream(num_events=900, seed=28))
+        assert all(busy > 0 for busy in result.unit_busy)
 
     def test_empty_stream(self):
         pattern = Pattern.sequence(["A", "B"], window=5.0)
-        assert RREngine(pattern, 2).run([]) == []
+        result, matches = simulated(RREngine(pattern, 2), [])
+        assert matches == []
+        assert result.matches == 0
 
     def test_metrics_populated(self):
         pattern = Pattern.sequence(["A", "B"], window=5.0)
-        engine = RREngine(pattern, 3)
-        engine.run(make_stream(num_events=300, seed=29))
-        metrics = engine.metrics
-        assert metrics.events_ingested == 300
-        assert metrics.partitions > 1
-        assert metrics.comparisons > 0
-        assert metrics.matches_emitted <= metrics.matches_before_dedup
+        result, matches = simulated(
+            RREngine(pattern, 3), make_stream(num_events=300, seed=29)
+        )
+        assert result.events == 300
+        assert result.extra["partitions"] > 1
+        assert result.total_comparisons > 0
+        assert result.matches == len(matches)
+
+    @pytest.mark.parametrize("engine_cls", SEGMENT_ENGINES)
+    @pytest.mark.parametrize("case", sorted(BOUNDARY_CASES))
+    def test_boundary_events_keep_the_reference_matches(self, case,
+                                                        engine_cls):
+        pattern, stream, count = BOUNDARY_CASES[case]
+        events = [
+            Event(TYPES[name], timestamp, {}) for name, timestamp in stream
+        ]
+        reference = reference_matches(pattern, events)
+        assert len(reference) == count
+        _, got = simulated(engine_cls(pattern, num_units=2), events)
+        assert_equivalent(reference, got, engine_cls.__name__)
 
     def test_invalid_unit_count(self):
         with pytest.raises(ValueError):

@@ -2,7 +2,8 @@
 
 Randomized (seeded) small workloads are run through the sequential
 reference engine, the hybrid :class:`HypersonicSimulation`, and every
-partition baseline; all of them must emit *exactly* the same match set —
+partition strategy through :class:`PartitionSimulation`; all of them must
+emit *exactly* the same match set —
 keys, not just counts.  The grid is then repeated with fitted cost
 parameters (from :func:`repro.costmodel.fitting.fit_from_trace` on a
 trace of the same workload) standing in for the defaults: cost constants
@@ -25,8 +26,13 @@ from repro.core import AttributeCondition, Pattern
 from repro.costmodel import CostParameters, fit_from_trace
 from repro.hypersonic.engine import HypersonicConfig, HypersonicEngine
 from repro.obs import TraceRecorder
-from repro.simulator import STRATEGIES, simulate
-from repro.simulator.hypersonic_sim import HypersonicSimulation
+from repro.simulator import (
+    STRATEGIES,
+    HypersonicSimulation,
+    PartitionSimulation,
+    SequentialSimEngine,
+    simulate,
+)
 
 from tests.conftest import make_stream, reference_matches
 
@@ -64,22 +70,30 @@ def fitted_parameters(pattern, events) -> CostParameters:
     return fit.parameters if fit is not None else CostParameters()
 
 
-def partition_engines(pattern):
-    return [
-        RIPEngine(pattern, NUM_UNITS, chunk_size=32),
-        RREngine(pattern, NUM_UNITS),
-        JSQEngine(pattern, NUM_UNITS),
-        LLSFEngine(pattern, NUM_UNITS),
-    ]
+def partition_engines(pattern) -> dict:
+    """Every partition strategy of :data:`STRATEGIES`, by name."""
+    return {
+        "sequential": SequentialSimEngine(pattern),
+        "rip": RIPEngine(pattern, NUM_UNITS, chunk_size=32),
+        "rr": RREngine(pattern, NUM_UNITS),
+        "jsq": JSQEngine(pattern, NUM_UNITS),
+        "llsf": LLSFEngine(pattern, NUM_UNITS),
+    }
+
+
+def partition_keys(engine, events) -> set:
+    """Run *engine* through the partition simulator; its match-key set."""
+    sim = PartitionSimulation(engine)
+    sim.run(events)
+    return {match.key for match in sim.matches}
 
 
 @pytest.mark.parametrize("pattern,seed", WORKLOADS)
 def test_partition_baselines_match_sequential(pattern, seed):
     events = workload(seed)
     expected = reference_keys(pattern, events)
-    for engine in partition_engines(pattern):
-        produced = {match.key for match in engine.run(events)}
-        assert produced == expected, type(engine).__name__
+    for strategy, engine in partition_engines(pattern).items():
+        assert partition_keys(engine, events) == expected, strategy
     state = StateParallelEngine(pattern)
     assert {match.key for match in state.run(events)} == expected
 
@@ -269,8 +283,8 @@ def test_fitted_parameters_differ_from_defaults():
 # shares no code with any engine.  Every cell of this grid — operator
 # (Kleene/NEG) x selection/consumption policy x window x dataset — must
 # produce *identical match-key sets* across the oracle, the sequential
-# reference, the hybrid simulation (scalar and batched), and every
-# partition baseline.
+# reference, the hybrid simulation (scalar and batched), every partition
+# strategy through the partition simulator, and StateParallelEngine.
 
 def _policy_variants(types, window, **base):
     variants = []
@@ -345,9 +359,8 @@ def test_every_engine_matches_the_oracle(pattern, dataset, seed):
     events = _oracle_events(dataset, seed)
     expected = oracle_keys(pattern, events)
     assert reference_keys(pattern, events) == expected
-    for engine in partition_engines(pattern):
-        produced = {match.key for match in engine.run(events)}
-        assert produced == expected, type(engine).__name__
+    for strategy, engine in partition_engines(pattern).items():
+        assert partition_keys(engine, events) == expected, strategy
     state = StateParallelEngine(pattern)
     assert {match.key for match in state.run(events)} == expected
     for batch_size in (1, 16):

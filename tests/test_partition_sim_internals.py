@@ -5,42 +5,49 @@ import pytest
 from tests.conftest import make_stream, reference_matches
 from repro.core import Pattern
 from repro.baselines import LLSFEngine, RIPEngine
-from repro.simulator import SequentialSimEngine, simulate_partitioned
+from repro.core.streams import Lookahead, as_source
+from repro.simulator import PartitionSimulation, SequentialSimEngine
 from repro.simulator.metrics import SimResult
 
 
 PATTERN = Pattern.sequence(["A", "B", "C"], window=5.0)
 
 
+def spans_of(engine, events):
+    return list(engine.spans(Lookahead(as_source(events))))
+
+
 class TestSequentialSimEngine:
     def test_single_partition_owns_everything(self):
         events = make_stream(num_events=100, seed=61)
         engine = SequentialSimEngine(PATTERN)
-        partitions = list(engine.partitions(events))
-        assert len(partitions) == 1
-        assert len(partitions[0].events) == 100
-        assert engine.assign_unit(partitions[0], [0.0]) == 0
+        spans = spans_of(engine, events)
+        assert len(spans) == 1
+        assert all(spans[0].contains(i) for i in range(len(events)))
+        assert engine.assign_unit(spans[0], [0.0]) == 0
 
     def test_empty_stream_yields_nothing(self):
         engine = SequentialSimEngine(PATTERN)
-        assert list(engine.partitions([])) == []
+        assert spans_of(engine, []) == []
 
 
 class TestSimulatePartitioned:
     def test_sequential_exact_matches(self):
         events = make_stream(num_events=500, seed=62)
         expected = {m.key for m in reference_matches(PATTERN, events)}
-        result = simulate_partitioned(
-            SequentialSimEngine(PATTERN), events, strategy_name="sequential"
+        sim = PartitionSimulation(
+            SequentialSimEngine(PATTERN), strategy_name="sequential"
         )
+        result = sim.run(events)
+        assert {m.key for m in sim.matches} == expected
         assert result.matches == len(expected)
         assert result.duplication_factor == pytest.approx(1.0, abs=0.05)
 
     def test_paced_vs_closed_loop_same_matches(self):
         events = make_stream(num_events=400, seed=63)
-        closed = simulate_partitioned(RIPEngine(PATTERN, 3), events)
-        paced = simulate_partitioned(
-            RIPEngine(PATTERN, 3), events, pace=5.0
+        closed = PartitionSimulation(RIPEngine(PATTERN, 3)).run(events)
+        paced = PartitionSimulation(RIPEngine(PATTERN, 3), pace=5.0).run(
+            events
         )
         assert closed.matches == paced.matches
         # Open-loop pacing stretches total time to about N * pace.
@@ -48,20 +55,20 @@ class TestSimulatePartitioned:
 
     def test_reported_units_override(self):
         events = make_stream(num_events=100, seed=64)
-        result = simulate_partitioned(
-            SequentialSimEngine(PATTERN), events, reported_units=24
-        )
+        result = PartitionSimulation(
+            SequentialSimEngine(PATTERN), reported_units=24
+        ).run(events)
         assert result.num_units == 24
 
     def test_busy_time_bounded(self):
         events = make_stream(num_events=300, seed=65)
-        result = simulate_partitioned(LLSFEngine(PATTERN, 4), events)
+        result = PartitionSimulation(LLSFEngine(PATTERN, 4)).run(events)
         for busy in result.unit_busy:
             assert 0 <= busy <= result.total_time + 1e-9
 
     def test_llsf_duplication_reported(self):
         events = make_stream(num_events=400, seed=66)
-        result = simulate_partitioned(LLSFEngine(PATTERN, 4), events)
+        result = PartitionSimulation(LLSFEngine(PATTERN, 4)).run(events)
         assert 1.4 <= result.duplication_factor <= 2.3
         assert result.extra["partitions"] >= 2
 

@@ -24,6 +24,7 @@ from repro.costmodel import proportional_allocation
 from repro.engine import SequentialEngine, diff_match_sets
 from repro.hypersonic import HypersonicConfig, HypersonicEngine, WorkItem, WorkQueue
 from repro.baselines import LLSFEngine, RIPEngine
+from repro.simulator import PartitionSimulation
 
 TYPES = {name: EventType(name) for name in "ABCX"}
 
@@ -96,8 +97,11 @@ def test_hybrid_equals_sequential(events, pattern_index, units):
 def test_rip_equals_sequential(events, pattern_index, units, chunk):
     pattern = PATTERNS[pattern_index]
     reference = sequential_reference(pattern, events)
-    got = RIPEngine(pattern, num_units=units, chunk_size=chunk).run(events)
-    assert diff_match_sets(reference, got).equivalent
+    sim = PartitionSimulation(
+        RIPEngine(pattern, num_units=units, chunk_size=chunk)
+    )
+    sim.run(events)
+    assert diff_match_sets(reference, sim.matches).equivalent
 
 
 @settings(max_examples=15, deadline=None)
@@ -106,8 +110,9 @@ def test_rip_equals_sequential(events, pattern_index, units, chunk):
 def test_llsf_equals_sequential(events, pattern_index, units):
     pattern = PATTERNS[pattern_index]
     reference = sequential_reference(pattern, events)
-    got = LLSFEngine(pattern, num_units=units).run(events)
-    assert diff_match_sets(reference, got).equivalent
+    sim = PartitionSimulation(LLSFEngine(pattern, num_units=units))
+    sim.run(events)
+    assert diff_match_sets(reference, sim.matches).equivalent
 
 
 # --------------------------------------------------------------------- #

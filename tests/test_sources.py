@@ -1,6 +1,5 @@
 """Unit tests for the workload-source protocol and the lookahead buffer
-(:mod:`repro.core.streams`, re-exported via :mod:`repro.simulator.sources`
-and the top-level simulator package)."""
+(:mod:`repro.core.streams`, re-exported by the simulator package)."""
 
 from __future__ import annotations
 
