@@ -27,7 +27,11 @@ from typing import Iterator
 
 from repro.core.patterns import Pattern
 from repro.core.streams import Lookahead
-from repro.baselines.partitioned import PartitionSpan, PartitionedEngine
+from repro.baselines.partitioned import (
+    PartitionSpan,
+    PartitionedEngine,
+    within_reach,
+)
 
 __all__ = ["WindowSegmentEngine", "RREngine", "JSQEngine", "LLSFEngine"]
 
@@ -73,11 +77,8 @@ class WindowSegmentEngine(PartitionedEngine):
             end = starts[segment + 2]
             last = starts[segment + 1] - 1
             if last >= starts[segment]:
-                horizon = stream.get(last).timestamp + window
-                while True:
-                    event = stream.get(end)
-                    if event is None or event.timestamp > horizon:
-                        break
+                last_event = stream.get(last)
+                while within_reach(stream.get(end), last_event, window):
                     end += 1
             return end
 

@@ -24,11 +24,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
+from repro.core.events import Event
 from repro.core.matches import Match
 from repro.core.patterns import Pattern
 from repro.core.streams import Lookahead
 
-__all__ = ["PartitionSpan", "PartitionedEngine"]
+__all__ = ["PartitionSpan", "PartitionedEngine", "within_reach"]
 
 
 def _owns_key(match: Match) -> tuple[float, int]:
@@ -36,6 +37,24 @@ def _owns_key(match: Match) -> tuple[float, int]:
         match.events(), key=lambda e: (e.timestamp, e.event_id)
     )
     return (earliest_event.timestamp, earliest_event.event_id)
+
+
+def within_reach(event: Event | None, last: Event, window: float) -> bool:
+    """Must a span whose last owned event is *last* also hold *event*, a
+    later one (``None`` past the end of the stream)?
+
+    Yes when *event* is within one window of *last* by either arithmetic
+    the matchers use: the difference ``event - last <= window`` that
+    ``fits_with`` and the pool purges take, or the sum ``event <= last +
+    window`` that a trailing negation guard takes.  Rounding can make
+    either hold alone.  Once a side fails it fails for every later
+    timestamp too, so the events within reach are a run.
+    """
+    if event is None:
+        return False
+    timestamp = event.timestamp
+    return (timestamp - last.timestamp <= window
+            or timestamp <= last.timestamp + window)
 
 
 @dataclass(frozen=True)

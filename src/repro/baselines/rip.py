@@ -17,7 +17,11 @@ from typing import Iterator
 
 from repro.core.patterns import Pattern
 from repro.core.streams import Lookahead
-from repro.baselines.partitioned import PartitionSpan, PartitionedEngine
+from repro.baselines.partitioned import (
+    PartitionSpan,
+    PartitionedEngine,
+    within_reach,
+)
 
 __all__ = ["RIPEngine"]
 
@@ -35,8 +39,9 @@ class RIPEngine(PartitionedEngine):
     def spans(self, stream: Lookahead) -> Iterator[PartitionSpan]:
         """Chunk ``k`` covers positions ``[k * chunk_size, (k + 1) *
         chunk_size)`` and owns their events; its span extends past them
-        to every later event within one window of its last owned event.
-        Lookahead is one chunk plus one window of events per span."""
+        to every later event within one window of its last owned event
+        (:func:`~repro.baselines.partitioned.within_reach`).  Lookahead
+        is one chunk plus one window of events per span."""
         window = self.pattern.window
         chunk = self.chunk_size
         index = 0
@@ -53,12 +58,8 @@ class RIPEngine(PartitionedEngine):
                     break
                 last_owned = event
                 end += 1
-            horizon = last_owned.timestamp + window
             extended_end = end
-            while True:
-                event = stream.get(extended_end)
-                if event is None or event.timestamp > horizon:
-                    break
+            while within_reach(stream.get(extended_end), last_owned, window):
                 extended_end += 1
             yield PartitionSpan(
                 index=index,

@@ -85,11 +85,18 @@ class PartialMatch:
         return self.latest - self.earliest <= window
 
     def fits_with(self, event: Event, window: float) -> bool:
-        """Would adding *event* keep the match within *window*?"""
-        return (
-            max(self.latest, event.timestamp) - min(self.earliest, event.timestamp)
-            <= window
-        )
+        """Would adding *event* keep the match within *window*?
+
+        ``max(self.latest, ts) - min(self.earliest, ts) <= window``, with
+        ``max`` and ``min`` written out as the conditional expressions
+        CPython's two-argument forms evaluate, as
+        :func:`repro.core.nfa.seq_candidates` does.
+        """
+        now = event.timestamp
+        latest = self.latest
+        earliest = self.earliest
+        return ((now if now > latest else latest)
+                - (now if now < earliest else earliest) <= window)
 
     def span(self) -> float:
         return self.latest - self.earliest

@@ -49,7 +49,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from itertools import islice
 from operator import attrgetter
-from typing import Any, Mapping, Sequence
+from typing import Any, Iterable, Mapping, Sequence
 
 from repro.core.conditions import CenteredHistories, Check, Condition
 from repro.core.errors import PatternError
@@ -277,37 +277,78 @@ def seq_order_allows(partial: PartialMatch, stages: tuple[Stage, ...],
     return _order_ok(last_bound_event(partial, stages, stage_index), event)
 
 
+def seq_candidates(partials: Iterable[PartialMatch], stages: tuple[Stage, ...],
+                   stage_index: int, event: Event, window: float
+                   ) -> list[PartialMatch]:
+    """The partials that may take *event* at *stage_index* (at least 1),
+    in order: those that ``fits_with`` the event within *window* and
+    pass :func:`seq_order_allows`.  A partial that already binds the
+    stage's position is a Kleene loop-back: on a Kleene stage its tuple's
+    last event must precede the event, and on any other stage it is no
+    candidate.
+
+    This is the one candidate test of the sequential engine, the
+    planner's sampler and the agents, and it runs for every partial they
+    scan, so both tests are written out.  ``max`` and ``min`` become the
+    conditional expressions CPython's two-argument forms evaluate, with
+    the same comparisons in the same argument order, and SEQ order the
+    tuple comparison's steps: the timestamps decide unless they are the
+    same object or equal, and then the ids do.  So ties, infinities and
+    NaN come out as in ``fits_with`` and ``seq_order_allows``.
+    """
+    stage = stages[stage_index]
+    position = stage.item.name
+    previous = stages[stage_index - 1].item.name
+    kleene = stage.is_kleene
+    now = event.timestamp
+    event_id = event.event_id
+    candidates = []
+    for partial in partials:
+        latest = partial.latest
+        earliest = partial.earliest
+        if not ((now if now > latest else latest)
+                - (now if now < earliest else earliest) <= window):
+            continue
+        binding = partial.binding
+        if position in binding:
+            if not kleene:
+                continue
+            last = binding[position]
+        else:
+            last = binding[previous]
+        if isinstance(last, tuple):
+            last = last[-1]
+        last_ts = last.timestamp
+        if last_ts < now or (
+            (last_ts is now or last_ts == now) and last.event_id < event_id
+        ):
+            candidates.append(partial)
+    return candidates
+
+
 def count_seq_candidates(pool: Sequence[PartialMatch], stages: tuple[Stage, ...],
                          stage_index: int, event: Event, window: float) -> int:
-    """How many partials of *pool* pass ``fits_with`` and
-    :func:`seq_order_allows` for binding *event* at *stage_index*: the
-    pairs a full scan of the pool compares, and charges.
+    """``len(seq_candidates(pool, stages, stage_index, event, window))``:
+    the pairs a full scan of the pool compares, and charges.
 
     *pool* must be a pool of the sequential engine or the planner's
     sampler while its events come in stream order, just purged of the
-    partials with ``earliest < event.timestamp - window``.  Every partial
+    partials with ``event.timestamp - earliest > window``.  Every partial
     in it was created by binding its last bound event, so the pool is in
     ``latest`` order and each partial's last bound event is at
     ``latest``.  The partials before the event's timestamp then pass SEQ
     order, those after it fail, and those tied with it are settled by
-    event id.  A purged partial starts no earlier than the purge horizon,
-    so when ``fits_with`` admits the horizon itself it admits every
-    partial up to the event (subtraction is monotone); when rounding
-    makes it reject the horizon, every partial is tested.
+    event id.  Each partial up to the event fits the window, since
+    ``fits_with`` computes the purge's own difference for it.
     """
     timestamp = event.timestamp
-    if timestamp - (timestamp - window) <= window:
-        count = bisect_left(pool, timestamp, key=_latest)
-        tied = bisect_right(pool, timestamp, lo=count, key=_latest)
-        for partial in islice(pool, count, tied):
-            if seq_order_allows(partial, stages, stage_index, event):
-                count += 1
-        return count
-    return sum(
-        1 for partial in pool
-        if partial.fits_with(event, window)
-        and seq_order_allows(partial, stages, stage_index, event)
-    )
+    count = bisect_left(pool, timestamp, key=_latest)
+    tied = bisect_right(pool, timestamp, lo=count, key=_latest)
+    if tied > count:
+        count += len(seq_candidates(
+            islice(pool, count, tied), stages, stage_index, event, window
+        ))
+    return count
 
 
 def compile_pattern(pattern: Pattern) -> ChainNFA:

@@ -23,7 +23,7 @@ from repro.core.nfa import (
     Stage,
     compile_pattern,
     count_seq_candidates,
-    seq_order_allows,
+    seq_candidates,
 )
 from repro.core.patterns import Pattern
 from repro.core.streams import substream_rates
@@ -119,7 +119,7 @@ class _SamplingRun:
         if event.timestamp < self._last_timestamp:
             self._in_order = False
         self._last_timestamp = max(self._last_timestamp, event.timestamp)
-        horizon = event.timestamp - window
+        now = event.timestamp
         additions: list[tuple[int, PartialMatch]] = []
         for stage in nfa.stages:
             if stage.event_type_name != event.type.name:
@@ -143,10 +143,11 @@ class _SamplingRun:
             pool = self._pools[stage.index]
             view = self._views[stage.index]
             buckets = self._keys[stage.index]
-            keep = [p.earliest >= horizon for p in pool]
+            # Expire as the sequential engine does (DESIGN §2s).
+            keep = [now - p.earliest <= window for p in pool]
             if not all(keep):
                 if buckets is not None:
-                    buckets.remove(p for p in pool if p.earliest < horizon)
+                    buckets.remove(p for p, kept in zip(pool, keep) if not kept)
                 pool[:] = compress(pool, keep)
                 if view is not None:
                     view.retain(keep)
@@ -184,15 +185,11 @@ class _SamplingRun:
                     event: Event, observation: StageObservation
                     ) -> list[PartialMatch]:
         """The partials of *pool* accepting *event*, pair by pair."""
-        window = self.nfa.window
+        candidates = seq_candidates(pool, self.nfa.stages, stage.index,
+                                    event, self.nfa.window)
+        observation.comparisons += len(candidates)
         accepted = []
-        for partial in pool:
-            if not partial.fits_with(event, window):
-                continue
-            if not seq_order_allows(partial, self.nfa.stages, stage.index,
-                                    event):
-                continue
-            observation.comparisons += 1
+        for partial in candidates:
             if stage.accepts(partial, event):
                 observation.successes += 1
                 accepted.append(partial)

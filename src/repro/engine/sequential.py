@@ -18,6 +18,10 @@ A stage or negation guard with a join key (DESIGN §2p) has its pool or
 negated-event buffer bucketed by that key, and a scan visits only the
 new item's bucket while the events come in stream order; it still
 charges every pair the full scan would have compared.
+
+A scan takes its candidates from :func:`~repro.core.nfa.seq_candidates`,
+the window and SEQ-order test the agents and the planner's sampler share,
+and the purges expire by the difference that test computes (DESIGN §2s).
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from repro.core.nfa import (
     Stage,
     compile_pattern,
     count_seq_candidates,
-    seq_order_allows,
+    seq_candidates,
 )
 from repro.core.patterns import Operator, Pattern
 
@@ -274,19 +278,18 @@ class SequentialEngine:
             else:
                 pool = self._pools[index]
                 group = self._same_key(self._pool_keys[index], event)
-                if group is not None:
-                    # Only the event's bucket can pass the key conjunct;
-                    # charge what scanning the whole pool compares.
-                    self.stats.comparisons += count_seq_candidates(
-                        pool, nfa.stages, index, event, window
-                    )
-                for partial in pool if group is None else group:
-                    if not partial.fits_with(event, window):
-                        continue
-                    if not seq_order_allows(partial, nfa.stages, index, event):
-                        continue
-                    if group is None:
-                        self.stats.comparisons += 1
+                candidates = seq_candidates(
+                    pool if group is None else group,
+                    nfa.stages, index, event, window,
+                )
+                # Only the event's bucket can pass the key conjunct;
+                # charge what scanning the whole pool compares.
+                self.stats.comparisons += (
+                    len(candidates) if group is None else
+                    count_seq_candidates(pool, nfa.stages, index, event,
+                                         window)
+                )
+                for partial in candidates:
                     if not stage.accepts(partial, event):
                         continue
                     extended = self._bind(stage, partial, event)
@@ -509,16 +512,21 @@ class SequentialEngine:
 
         A partial whose earliest event is more than W old can never be
         completed within the window (new events only have larger
-        timestamps), matching the purge rule of Section 3.2.
+        timestamps), matching the purge rule of Section 3.2.  "More than
+        W old" is ``now - earliest > W``, the difference ``fits_with``
+        computes for a later event, so the purge keeps every partial the
+        window test can still admit.  A negated event is kept by the same
+        difference: a guard event that can strike a kept partial lies
+        after its earliest event, and subtracting a larger timestamp from
+        ``now`` cannot give a larger difference.
         """
         nfa = self._nfa
         assert nfa is not None
         window = nfa.window
-        horizon = now - window
         for index, pool in enumerate(self._pools):
-            if self._pool_floors[index] >= horizon:
+            if now - self._pool_floors[index] <= window:
                 continue
-            kept = [p for p in pool if p.earliest >= horizon]
+            kept = [p for p in pool if now - p.earliest <= window]
             self._pool_floors[index] = min(
                 (p.earliest for p in kept), default=math.inf
             )
@@ -529,18 +537,20 @@ class SequentialEngine:
                 else None
             )
             if buckets is not None:
-                buckets.remove(p for p in pool if p.earliest < horizon)
+                buckets.remove(p for p in pool if not now - p.earliest <= window)
         for name, buffer in self._neg_buffer.items():
-            if self._neg_floors[name] >= horizon:
+            if now - self._neg_floors[name] <= window:
                 continue
-            kept_events = [e for e in buffer if e.timestamp >= horizon]
+            kept_events = [e for e in buffer if now - e.timestamp <= window]
             self._neg_floors[name] = min(
                 (e.timestamp for e in kept_events), default=math.inf
             )
             self.stats.purged_events += len(buffer) - len(kept_events)
             self._neg_buffer[name] = kept_events
             for _guard, buckets in self._guard_keys.get(name, ()):
-                buckets.remove(e for e in buffer if e.timestamp < horizon)
+                buckets.remove(
+                    e for e in buffer if not now - e.timestamp <= window
+                )
 
     # ------------------------------------------------------------------ #
     # AND / OR evaluation                                                #
@@ -550,7 +560,6 @@ class SequentialEngine:
         pattern = self.pattern
         window = pattern.window
         now = event.timestamp
-        horizon = now - window
         type_name = event.type.name
         positions = [
             item.name for item in pattern.items
@@ -561,7 +570,7 @@ class SequentialEngine:
         conjuncts = pattern.conjuncts()
         kept = [
             p for p in self._and_pool
-            if p.earliest >= horizon or not p.binding
+            if now - p.earliest <= window or not p.binding
         ]
         self.stats.purged_partial_matches += len(self._and_pool) - len(kept)
         self._and_pool = kept

@@ -78,7 +78,7 @@ from typing import Callable, Iterable
 from repro.core.events import Event
 from repro.core.joinkeys import KeyBuckets, position_of
 from repro.core.matches import PartialMatch
-from repro.core.nfa import NegationGuard, Stage, last_bound_event, seq_order_allows
+from repro.core.nfa import NegationGuard, Stage, last_bound_event, seq_candidates
 from repro.hypersonic.buffers import AgentGlobalBuffer, BufferSnapshot, FragmentedBuffer
 from repro.hypersonic.items import ItemKind, Receipt, WorkItem, WorkQueue
 
@@ -393,34 +393,10 @@ class AgentCore:
         scan covers the band between, which a ``bisect`` on the same
         difference finds.
         """
-        window = self.window
-        timestamp = event.timestamp
-        candidates = partials
         if ordered:
-            candidates = islice(partials, *self._band(event, partials))
-        stage = self.stage
-        position = stage.item.name
-        previous = self.stages[self.stage_index - 1].item.name
-        order = (timestamp, event.event_id)
-        joinable = []
-        # fits_with and seq_order_allows, inline: this loop runs for every
-        # buffered candidate.
-        for partial in candidates:
-            if not (max(partial.latest, timestamp)
-                    - min(partial.earliest, timestamp) <= window):
-                continue
-            binding = partial.binding
-            last = binding.get(position)
-            if last is None:
-                last = binding[previous]
-            elif not stage.is_kleene:
-                continue
-            if isinstance(last, tuple):
-                last = last[-1]
-            if not (last.timestamp, last.event_id) < order:
-                continue
-            joinable.append(partial)
-        return joinable
+            partials = islice(partials, *self._band(event, partials))
+        return seq_candidates(partials, self.stages, self.stage_index, event,
+                              self.window)
 
     def _band(self, event: Event, partials) -> tuple[int, int]:
         """The index range of an ordered MB fragment that can join
@@ -447,9 +423,11 @@ class AgentCore:
         tied = bisect_left(partials, event.timestamp, lo=first, hi=end,
                            key=_earliest)
         count = tied - first
-        for partial in islice(partials, tied, end):
-            if seq_order_allows(partial, self.stages, 1, event):
-                count += 1
+        if end > tied:
+            count += len(seq_candidates(
+                islice(partials, tied, end), self.stages, 1, event,
+                self.window
+            ))
         return count
 
     def _process_event_batch(self, events: list[Event], unit_id: int) -> Receipt:

@@ -2,12 +2,22 @@
 
 from __future__ import annotations
 
+import os
 import random
 
 import pytest
+from hypothesis import settings, strategies as st
 
 from repro.core import Event, EventType, Pattern
 
+
+#: ``HYPOTHESIS_PROFILE=deep`` gives every property that sets no example
+#: budget of its own, such as the window-boundary oracle property, 1,000
+#: examples; CI's pattern-oracle job runs under it.  Without the variable
+#: Hypothesis keeps its own default profile.
+settings.register_profile("deep", max_examples=1000)
+if "HYPOTHESIS_PROFILE" in os.environ:
+    settings.load_profile(os.environ["HYPOTHESIS_PROFILE"])
 
 TYPE_NAMES = ("A", "B", "C", "D", "X")
 TYPES = {name: EventType(name) for name in TYPE_NAMES}
@@ -35,6 +45,35 @@ def make_stream(
             )
         )
     return events
+
+
+@st.composite
+def boundary_streams(draw, type_names: str = "ABCX", max_events: int = 12):
+    """A window and an in-order stream whose gaps often fall on the window
+    bound in real arithmetic: an event at ``t + window`` for an earlier
+    event's ``t``.  The rounded sum puts the float difference of the two
+    on the window or one rounding step either side of it, where a pool
+    purge, the window test and a partition span must all agree.  Other
+    gaps are random, up to one and a half windows, or zero (a tie).  The
+    stream starts within two windows of zero: far from it, a timestamp
+    more than twice the window makes the difference of two timestamps a
+    window apart exact, and no rounding is left to disagree about."""
+    # Quotients by primes, so the window and the timestamps use their
+    # whole mantissas: simple floats add and subtract without rounding.
+    window = draw(st.integers(min_value=1, max_value=10**6)) / 65521
+    timestamp = window * draw(st.integers(min_value=0, max_value=2 * 8191)) / 8191
+    events: list[Event] = []
+    for _ in range(draw(st.integers(min_value=0, max_value=max_events))):
+        anchor = draw(st.integers(min_value=-1, max_value=max_events))
+        if events and anchor >= 0:
+            bound = events[anchor % len(events)].timestamp + window
+            timestamp = max(timestamp, bound)
+        else:
+            timestamp += window * draw(st.integers(0, 3 * 8191)) / (2 * 8191)
+        name = draw(st.sampled_from(type_names))
+        events.append(Event(TYPES[name], timestamp,
+                            {"x": draw(st.integers(0, 2))}))
+    return window, events
 
 
 @pytest.fixture(params=["numpy", "fallback"])

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tests.conftest import TYPES, make_stream, reference_matches
+from tests.oracle import oracle_keys
 from repro.core import Event, Pattern
 from repro.core.streams import Lookahead, as_source
 from repro.engine import assert_equivalent
@@ -16,7 +17,11 @@ from repro.baselines import (
     RREngine,
     StateParallelEngine,
 )
-from repro.simulator import PartitionSimulation, SequentialSimEngine
+from repro.simulator import (
+    PartitionSimulation,
+    SequentialSimEngine,
+    simulate,
+)
 
 PATTERNS = [
     Pattern.sequence(["A", "B", "C"], window=6.0),
@@ -42,6 +47,26 @@ BOUNDARY_CASES = {
     "guard_past_the_next_bound": (
         Pattern.sequence(["A", "B", "X"], window=1.0, negated=[2]),
         (("A", 0.0), ("A", 0.9999999999999999), ("B", 1.5), ("X", 2.0)), 0,
+    ),
+}
+
+
+#: Streams on which rounding at the window bound decides whether a span
+#: must reach an event: name -> (pattern, (type, timestamp) stream,
+#: reference match count).
+REACH_CASES = {
+    # B - A is exactly 1.1, but A + 1.1 rounds below B: a span that stops
+    # after ``last + window`` leaves out the B that joins A.
+    "join_by_difference": (
+        Pattern.sequence(["A", "B"], window=1.1),
+        (("A", 0.13835612642182593), ("B", 1.2383561264218261)), 1,
+    ),
+    # X - A is 0.20000000000000004, but A + 0.2 rounds to X, which voids
+    # A + B as a trailing guard (``ts <= earliest + window``): a span that
+    # stops after ``event - last > window`` leaves it out.
+    "guard_by_sum": (
+        Pattern.sequence(["A", "B", "X"], window=0.2, negated=[2]),
+        (("A", 0.1), ("B", 0.15), ("X", 0.30000000000000004)), 0,
     ),
 }
 
@@ -119,10 +144,11 @@ SPAN_STRATEGIES = {
        chunk=st.integers(min_value=1, max_value=20))
 def test_spans_own_each_event_once_with_its_window(stream, strategy, chunk):
     """Spans arrive in ``begin`` order, every event has exactly one owning
-    span, and that span holds the event and every later event up to the
-    event's timestamp plus one window (the horizon of a trailing negation
-    guard, which also bounds every join) — so the owner sees every match
-    the event starts and every event that can void one."""
+    span, and that span holds the event and every later event within one
+    window of it: by the difference the window test and the pool purges
+    compute, or by the sum a trailing negation guard computes, which
+    rounding can each make hold alone — so the owner sees every match the
+    event starts and every event that can void one."""
     window, events = stream
     pattern = Pattern.sequence(["A", "B"], window=window)
     engine = SPAN_STRATEGIES[strategy](pattern, chunk)
@@ -139,9 +165,23 @@ def test_spans_own_each_event_once_with_its_window(stream, strategy, chunk):
         assert len(owners) == 1, (position, owners)
         owner = owners[0]
         for later in range(position, len(events)):
-            if events[later].timestamp > event.timestamp + window:
+            timestamp = events[later].timestamp
+            if (timestamp - event.timestamp > window
+                    and timestamp > event.timestamp + window):
                 break
             assert owner.contains(later), (position, later, owner)
+
+
+@pytest.mark.parametrize("strategy", ["sequential", "hypersonic", "state",
+                                      "rip", "rr", "jsq", "llsf"])
+@pytest.mark.parametrize("case", sorted(REACH_CASES))
+def test_window_bound_keeps_the_reference_matches(case, strategy):
+    pattern, stream, count = REACH_CASES[case]
+    events = [Event(TYPES[name], timestamp, {}) for name, timestamp in stream]
+    assert len(oracle_keys(pattern, events)) == count
+    for chunk in (1, 2) if strategy == "rip" else (256,):
+        result = simulate(strategy, pattern, events, 4, chunk_size=chunk)
+        assert result.matches == count, chunk
 
 
 class TestRIPStructure:

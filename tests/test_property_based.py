@@ -317,3 +317,60 @@ def test_oracle_equals_sequential_engine(events, pattern_index):
         pattern, sequential_reference(pattern, events)
     )
     assert {match.key for match in resolved} == oracle_keys(pattern, events)
+
+
+# --------------------------------------------------------------------- #
+# The window bound                                                       #
+# --------------------------------------------------------------------- #
+
+from repro.baselines import JSQEngine, RREngine  # noqa: E402
+from repro.simulator import SequentialSimEngine  # noqa: E402
+from tests.conftest import boundary_streams  # noqa: E402
+
+#: name -> (the pattern's event types, its builder for a drawn window):
+#: SEQ patterns with and without negation, and one with a Kleene stage.
+BOUNDARY_PATTERNS = {
+    "seq2": ("AB", lambda w: Pattern.sequence(["A", "B"], window=w)),
+    "seq3": ("ABC", lambda w: Pattern.sequence(["A", "B", "C"], window=w)),
+    "internal_guard": ("AXB", lambda w: Pattern.sequence(
+        ["A", "X", "B"], window=w, negated=[1])),
+    "trailing_guard": ("ABX", lambda w: Pattern.sequence(
+        ["A", "B", "X"], window=w, negated=[2])),
+    "kleene": ("ABC", lambda w: Pattern.sequence(
+        ["A", "B", "C"], window=w, kleene=[1])),
+}
+
+#: Every partition strategy of the partition simulator, RIP at the chunk
+#: sizes whose spans end closest to the events they own.
+BOUNDARY_PARTITIONS = {
+    **{f"rip{chunk}": (lambda p, chunk=chunk: RIPEngine(p, 2, chunk_size=chunk))
+       for chunk in (1, 2, 3, 4)},
+    "rr": lambda p: RREngine(p, 2),
+    "jsq": lambda p: JSQEngine(p, 2),
+    "llsf": lambda p: LLSFEngine(p, 2),
+    "sequential": SequentialSimEngine,
+}
+
+
+@settings(deadline=None)
+@given(name=st.sampled_from(sorted(BOUNDARY_PATTERNS)), data=st.data())
+def test_oracle_agrees_with_every_engine_on_window_bound_gaps(name, data):
+    """On gaps that round to either side of the window, the oracle, the
+    sequential engine, the hybrid engine and every partition strategy
+    find the same matches.  The example budget is the Hypothesis
+    profile's (``HYPOTHESIS_PROFILE``, tests/conftest.py)."""
+    type_names, build_pattern = BOUNDARY_PATTERNS[name]
+    window, events = data.draw(boundary_streams(type_names))
+    pattern = build_pattern(window)
+    expected = oracle_keys(pattern, events)
+    found = {
+        "sequential_engine": sequential_reference(pattern, events),
+        "hypersonic_engine": HypersonicEngine(pattern, num_units=4)
+        .run(events),
+    }
+    for strategy, build in BOUNDARY_PARTITIONS.items():
+        sim = PartitionSimulation(build(pattern))
+        sim.run(events)
+        found[strategy] = sim.matches
+    for engine, matches in found.items():
+        assert {match.key for match in matches} == expected, engine

@@ -46,6 +46,17 @@ class TestBasicSequence:
         assert detect(pattern, [ev(A, 1), ev(B, 3.5)]) == []
         assert len(detect(pattern, [ev(A, 1), ev(B, 3.0)])) == 1
 
+    def test_purge_keeps_a_partial_the_window_test_admits(self):
+        # B - A is exactly 1.1, but B - 1.1 rounds up past A: a purge at
+        # ``earliest >= now - window`` dropped A before B could join it.
+        pattern = Pattern.sequence(["A", "B"], window=1.1)
+        a, b = ev(A, 0.13835612642182593), ev(B, 1.2383561264218261)
+        assert b.timestamp - a.timestamp <= 1.1
+        assert a.timestamp < b.timestamp - 1.1
+        assert [m.key for m in detect(pattern, [a, b])] == [
+            (("p1", a.event_id), ("p2", b.event_id))
+        ]
+
     def test_conditions_enforced(self):
         pattern = Pattern.sequence(
             ["A", "B"],
