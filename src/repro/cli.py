@@ -39,6 +39,7 @@ import argparse
 import sys
 from typing import Sequence
 
+from repro.core.errors import ReproError
 from repro.datasets import (
     SensorConfig,
     StockConfig,
@@ -48,7 +49,7 @@ from repro.datasets import (
     save_stream,
     stream_source,
 )
-from repro.simulator import CacheModel, as_source, simulate
+from repro.simulator import RunConfig, as_source, simulate
 
 #: Calibration prefix for query-threshold estimation (matches the
 #: engine-side statistics bound, ``HypersonicConfig.sample_size``).
@@ -594,108 +595,104 @@ def _build_slo_specs(args, default_window: float):
         raise SystemExit(f"bad SLO spec: {exc}") from None
 
 
+def _run_tracer(args, strategy: str):
+    """The tracer of one strategy's run: a recorder when a trace or
+    metrics file is asked for, wrapped by the dashboard; else None."""
+    tracer = None
+    if args.trace or args.trace_jsonl or args.metrics_out:
+        from repro.obs import TraceRecorder
+
+        tracer = TraceRecorder()
+    if args.dashboard:
+        from repro.obs import Dashboard, DashboardTracer
+
+        tracer = DashboardTracer(
+            inner=tracer, strategy=strategy,
+            dashboard=Dashboard() if sys.stdout.isatty() else None,
+            min_seconds=0.05,
+        )
+    return tracer
+
+
 def _command_simulate(args) -> int:
     for flag, path in (("--trace", args.trace),
                        ("--trace-jsonl", args.trace_jsonl),
                        ("--metrics-out", args.metrics_out)):
         if path:
             _check_parent_dir(path, flag)
-    tracing = bool(args.trace or args.trace_jsonl or args.metrics_out)
+    strategies = [name.strip() for name in args.strategies.split(",")]
+    slo_specs = _build_slo_specs(args, args.window)
+    adapting = args.adapt == "on" or args.shed_bound > 0
+    procs = args.backend == "procs"
+    if procs:
+        others = [name for name in strategies if name != "hypersonic"]
+        if others:
+            raise SystemExit(
+                "--backend procs runs the hypersonic agent chain only; "
+                f"drop {', '.join(others)} from --strategies"
+            )
+        if adapting or slo_specs or args.pace is not None:
+            raise SystemExit(
+                "--backend procs does not support --adapt/--shed-bound/"
+                "--slo-*/--pace: planner features run on the virtual clock "
+                "(--backend virtual)"
+            )
+    elif args.procs is not None or args.start_method is not None:
+        raise SystemExit("--procs/--start-method require --backend procs")
+    from repro.bench.harness import default_cache
+
+    # Every run's options are checked before the first run starts, so a
+    # bad strategy or value fails before any output file is written.
+    cache = default_cache()
+    runs = []
+    for strategy in strategies:
+        # An adaptive run's recall is measured against this closed-loop,
+        # unshedded reference run.
+        reference = dict(cache=cache, batch_size=args.batch_size,
+                         agent_dynamic=strategy == "hypersonic")
+        options = dict(reference, pace=args.pace, adapt=args.adapt,
+                       shed_bound=args.shed_bound,
+                       shed_policy=args.shed_policy, slos=slo_specs,
+                       tracer=_run_tracer(args, strategy))
+        RunConfig(strategy, args.cores, **options)
+        runs.append((strategy, options, reference))
+    # The CSV source replays from disk for each strategy, so the whole
+    # comparison holds one window of events at a time.
     source = stream_source(args.input)
     spec = _build_query(args, source)
     print(f"query: {spec.pattern.describe()}")
-    cache = CacheModel(capacity_items=64.0, touch_cost=0.02)
-    strategies = [name.strip() for name in args.strategies.split(",")]
-    adapting = args.adapt == "on" or args.shed_bound > 0
-    if args.backend == "procs":
-        unsupported = [n for n in strategies if n != "hypersonic"]
-        if unsupported:
-            raise SystemExit(
-                "--backend procs runs the hypersonic agent chain only; "
-                f"drop {', '.join(unsupported)} from --strategies"
-            )
-        if adapting or args.pace is not None:
-            raise SystemExit(
-                "--backend procs does not support --adapt/--shed-bound/"
-                "--pace (planner features are virtual-clock-only)"
-            )
-    elif args.procs is not None or args.start_method is not None:
-        raise SystemExit(
-            "--procs/--start-method require --backend procs"
-        )
-    slo_specs = _build_slo_specs(args, args.window)
-    if adapting or slo_specs:
-        unsupported = [
-            name for name in strategies
-            if name not in ("hypersonic", "state")
-        ]
-        if unsupported:
-            raise SystemExit(
-                "--adapt/--shed-bound/--slo-* need an agent-chain "
-                "strategy (hypersonic, state); drop "
-                f"{', '.join(unsupported)} from --strategies"
-            )
     registry = None
     if args.metrics_out:
         from repro.obs import MetricsRegistry
 
         registry = MetricsRegistry()
     results = {}
-    for strategy in strategies:
-        if args.backend == "procs":
-            # Wall-clock backend: no planner features, so no
-            # agent_dynamic default; runner.simulate validates the rest.
-            kwargs = {
-                "backend": "procs",
-                "procs": args.procs,
-                "start_method": args.start_method,
-            }
+    for strategy, options, reference in runs:
+        tracer = options["tracer"]
+        if procs:
+            from repro.runtime import ProcsPipelineEngine
+
+            engine = ProcsPipelineEngine(
+                spec.pattern,
+                procs=args.procs if args.procs is not None else args.cores,
+                start_method=args.start_method,
+                batch_size=args.batch_size,
+                tracer=tracer,
+            )
+            engine.run(source)
+            results[strategy] = engine.result
         else:
-            kwargs = (
-                {"agent_dynamic": True} if strategy == "hypersonic" else {}
+            results[strategy] = simulate(
+                strategy, spec.pattern, source, args.cores, **options
             )
-        if args.pace is not None:
-            kwargs["pace"] = args.pace
         if adapting:
-            kwargs["adapt"] = args.adapt
-            kwargs["shed_bound"] = args.shed_bound
-            if args.shed_policy is not None:
-                kwargs["shed_policy"] = args.shed_policy
-        if slo_specs:
-            kwargs["slos"] = slo_specs
-        if tracing:
-            from repro.obs import TraceRecorder
-
-            kwargs["tracer"] = TraceRecorder()
-        if args.dashboard:
-            from repro.obs import Dashboard, DashboardTracer
-
-            live_view = (
-                Dashboard() if sys.stdout.isatty() else None
-            )
-            kwargs["tracer"] = DashboardTracer(
-                inner=kwargs.get("tracer"), strategy=strategy,
-                dashboard=live_view, min_seconds=0.05,
-            )
-        # The CSV source replays from disk for each strategy, so the
-        # whole comparison holds one window of events at a time.
-        results[strategy] = simulate(
-            strategy, spec.pattern, source, num_cores=args.cores,
-            cache=cache, batch_size=args.batch_size, **kwargs,
-        )
-        if adapting:
-            # Honest recall needs an unshedded closed-loop reference run
-            # of the same strategy over the same stream.
-            reference = simulate(
-                strategy, spec.pattern, source, num_cores=args.cores,
-                cache=cache, batch_size=args.batch_size,
-                **({"agent_dynamic": True}
-                   if strategy == "hypersonic" else {}),
+            reference_run = simulate(
+                strategy, spec.pattern, source, args.cores, **reference
             )
             shed = results[strategy].extra.get("shed") or {}
             recall = (
-                results[strategy].matches / reference.matches
-                if reference.matches else 1.0
+                results[strategy].matches / reference_run.matches
+                if reference_run.matches else 1.0
             )
             line = (
                 f"{strategy}: shed {shed.get('total', 0)} "
@@ -724,12 +721,12 @@ def _command_simulate(args) -> int:
             )
         if args.dashboard:
             print(f"-- dashboard ({strategy}) --")
-            print(kwargs["tracer"].final_frame())
+            print(tracer.final_frame())
         if args.trace:
             from repro.obs import write_chrome_trace
 
             path = _trace_path(args.trace, strategy, len(strategies) > 1)
-            write_chrome_trace(path, kwargs["tracer"])
+            write_chrome_trace(path, tracer)
             print(f"trace ({strategy}): {path}")
         if args.trace_jsonl:
             from repro.obs import write_jsonl
@@ -737,7 +734,7 @@ def _command_simulate(args) -> int:
             path = _trace_path(
                 args.trace_jsonl, strategy, len(strategies) > 1
             )
-            write_jsonl(path, kwargs["tracer"])
+            write_jsonl(path, tracer)
             print(f"trace jsonl ({strategy}): {path}")
         if registry is not None:
             from repro.obs import populate_from_summary
@@ -1155,6 +1152,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](args)
+    except ReproError as error:
+        # A library error is a bad input or flag value: report it, exit 1.
+        raise SystemExit(str(error)) from None
     except BrokenPipeError:
         # Output piped into a pager/head that closed early — not an error.
         try:

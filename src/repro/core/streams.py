@@ -45,10 +45,9 @@ class WorkloadSource:
     A source is iterable (yielding :class:`Event` in stream order) and can
     produce a ``prefix(n)`` sample for statistics estimation without
     consuming those events from the main iteration.  ``replayable`` tells
-    multi-pass consumers (e.g. ``measure_latency`` re-runs, strategy
-    comparisons) whether ``__iter__`` may be called more than once; a
-    non-replayable source is buffered once at the entry-point boundary
-    when a second pass is unavoidable.
+    multi-pass consumers (strategy comparisons) whether ``__iter__`` may
+    be called more than once; a non-replayable source is buffered once at
+    the entry-point boundary when a second pass is unavoidable.
 
     Third-party sources need not subclass this — :func:`as_source`
     duck-types on ``prefix``/``__iter__``/``replayable``.

@@ -117,9 +117,9 @@ class CSVStreamSource(WorkloadSource):
     stream CSV.
 
     Each iteration re-opens the file, so multi-pass consumers (e.g.
-    ``simulate(..., measure_latency=True)`` or ``compare_strategies``)
-    replay it without the runner materializing the events; single-pass
-    consumers hold one row at a time.  The header is validated eagerly so
+    ``compare_strategies`` or ``repro simulate``'s strategy race) replay
+    it without materializing the events; single-pass consumers hold one
+    row at a time.  The header is validated eagerly so
     a bad file fails at construction, not mid-simulation.
     """
 

@@ -25,7 +25,12 @@ from repro.simulator.hypersonic_sim import HypersonicSimulation
 from repro.simulator.kernel import SimKernel, WindowTracker
 from repro.simulator.metrics import LatencyAccumulator, SimResult
 from repro.simulator.partition_sim import PartitionSimulation, SequentialSimEngine
-from repro.simulator.runner import ALLOCATION_SCHEMES, STRATEGIES, simulate
+from repro.simulator.runner import (
+    ALLOCATION_SCHEMES,
+    STRATEGIES,
+    RunConfig,
+    simulate,
+)
 
 __all__ = [
     "CacheModel",
@@ -38,6 +43,7 @@ __all__ = [
     "SequentialSimEngine",
     "ALLOCATION_SCHEMES",
     "STRATEGIES",
+    "RunConfig",
     "simulate",
     "IterSource",
     "ListSource",

@@ -31,7 +31,6 @@ non-list stream is consumed in a single pass and never materialized.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
 from repro.control import ControlPlane, LoadShedder, ReplanDecision
@@ -67,13 +66,8 @@ _WAKE = 1
 #: a contiguous columnar sweep is precisely not.
 _VECTOR_COMPARISON_DISCOUNT = 0.25
 
-
-@dataclass
-class _SimKnobs:
-    inflight_cap: int = 96
-    snapshot_interval: int = 128
-    queue_item_pointers: int = 4  # modelled pointer footprint of a queued item
-    batch_size: int = 1           # events per splitter/agent micro-batch
+#: Modelled pointer footprint of one queued work item.
+_QUEUE_ITEM_POINTERS = 4
 
 
 class HypersonicSimulation:
@@ -88,7 +82,6 @@ class HypersonicSimulation:
         costs: CostParameters | None = None,
         cache: CacheModel | None = None,
         inflight_cap: int = 96,
-        snapshot_interval: int = 128,
         strategy_name: str = "hypersonic",
         pace: float | None = None,
         tracer: Tracer | None = None,
@@ -116,10 +109,8 @@ class HypersonicSimulation:
         self.cache = cache if cache is not None else CacheModel()
         if batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-        self.knobs = _SimKnobs(
-            inflight_cap=inflight_cap, snapshot_interval=snapshot_interval,
-            batch_size=batch_size,
-        )
+        #: Events per splitter/agent micro-batch.
+        self.batch_size = batch_size
         self.strategy_name = strategy_name
         # Paced (open-loop) injection disables backpressure: events arrive
         # at a fixed virtual-time interval, modelling steady-state operation
@@ -130,7 +121,6 @@ class HypersonicSimulation:
             window=self.engine.nfa.window,
             inflight_cap=inflight_cap,
             pace=pace,
-            snapshot_interval=snapshot_interval,
             latency_seed=self.engine.config.seed,
             tracer=self.tracer,
             costs=self.costs,
@@ -173,7 +163,7 @@ class HypersonicSimulation:
         source = as_source(events)
         engine.ensure_statistics(source.prefix(engine.config.sample_size))
         engine.build()
-        if self.knobs.batch_size > 1:
+        if self.batch_size > 1:
             # Compile vectorized stage kernels where the conditions allow;
             # agents without one (Kleene, arbitrary predicates) keep the
             # scalar path even inside a batch.
@@ -376,7 +366,7 @@ class HypersonicSimulation:
         routed = False
         if self.shedder is not None:
             self.shedder.note_backlog(kernel.in_flight)
-        for _ in range(self.knobs.batch_size):
+        for _ in range(self.batch_size):
             if not kernel.admit():
                 # Park only when this turn schedules no follow-up inject
                 # (consumed == 0, below); a partial batch keeps the single
@@ -465,7 +455,7 @@ class HypersonicSimulation:
             return
         agent = engine.agents[selection.agent_index]
         items = [selection.item]
-        batch = self.knobs.batch_size
+        batch = self.batch_size
         batch_queue = None
         if (
             batch > 1
@@ -613,7 +603,7 @@ class HypersonicSimulation:
             [agent.snapshot() for agent in self.engine.agents]
         )
         pointer = self.costs.pointer_size
-        queued = kernel.in_flight * self.knobs.queue_item_pointers * pointer
+        queued = kernel.in_flight * _QUEUE_ITEM_POINTERS * pointer
         kernel.note_memory(
             snapshot.pointer_items * pointer
             + snapshot.mb_items * self.costs.match_overhead

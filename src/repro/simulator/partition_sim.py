@@ -100,9 +100,7 @@ class PartitionSimulation:
         costs: CostParameters | None = None,
         cache: CacheModel | None = None,
         inflight_cap: int = 96,
-        snapshot_interval: int = 128,
         strategy_name: str | None = None,
-        reported_units: int | None = None,
         pace: float | None = None,
         seed: int = 7,
         tracer: Tracer | None = None,
@@ -114,14 +112,12 @@ class PartitionSimulation:
             strategy_name
             or type(engine).__name__.replace("Engine", "").lower()
         )
-        self.reported_units = reported_units
         self.pace = pace
         self.kernel = SimKernel(
             engine.num_units,
             window=engine.pattern.window,
             inflight_cap=inflight_cap,
             pace=pace,
-            snapshot_interval=snapshot_interval,
             latency_seed=seed,
             tracer=tracer,
             costs=self.costs,
@@ -296,10 +292,6 @@ class PartitionSimulation:
             total_work=total_work,
             duplication_factor=(
                 total_tasks / events_seen if events_seen else 0.0
-            ),
-            num_units=(
-                self.reported_units if self.reported_units is not None
-                else num_units
             ),
             extra={"partitions": partitions_seen},
         )

@@ -212,7 +212,7 @@ def collect() -> dict:
 
     pattern = golden_pattern()
     events = golden_workload()
-    goldens: dict = {"closed_loop": {}, "paced": {}, "measure_latency": {}}
+    goldens: dict = {"closed_loop": {}, "paced": {}}
     for strategy in STRATEGIES:
         kwargs = {"agent_dynamic": True} if strategy == "hypersonic" else {}
         result = simulate(
@@ -238,10 +238,6 @@ def collect() -> dict:
             strategy, pattern, events, num_cores=NUM_CORES, pace=3.0
         )
         goldens["paced"][strategy] = result_payload(result)
-    result = simulate(
-        "sequential", pattern, events, num_cores=1, measure_latency=True
-    )
-    goldens["measure_latency"]["sequential"] = result_payload(result)
     return goldens
 
 

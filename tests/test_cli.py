@@ -90,6 +90,71 @@ class TestSimulate:
         assert "gain" in out
 
 
+class TestCleanErrors:
+    """A bad flag value ends the run with its message and exit status 1,
+    not a traceback."""
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--cores", "0"], "num_cores must be >= 1, got 0"),
+        (["--batch-size", "0"], "batch_size must be >= 1, got 0"),
+        (["--backend", "procs", "--procs", "0"],
+         "procs must be >= 1, got 0"),
+        (["--backend", "procs", "--slo-p95", "5"],
+         "--backend procs does not support"),
+    ])
+    def test_simulate(self, stock_csv, flags, message):
+        with pytest.raises(SystemExit) as err:
+            main([
+                "simulate", "stocks", str(stock_csv),
+                "--length", "3", "--window", "20",
+                "--strategies", "hypersonic", *flags,
+            ])
+        # A string exit code is printed to stderr and exits with status 1.
+        assert isinstance(err.value.code, str)
+        assert message in err.value.code
+
+    def test_detect(self, stock_csv):
+        with pytest.raises(SystemExit) as err:
+            main([
+                "detect", "stocks", str(stock_csv),
+                "--engine", "hybrid", "--units", "0",
+            ])
+        assert err.value.code == "need at least one execution unit"
+
+    def test_bad_strategy_fails_before_any_run(self, stock_csv, tmp_path,
+                                               capsys):
+        trace = tmp_path / "t.jsonl"
+        with pytest.raises(SystemExit, match="unknown strategy 'bogus'"):
+            main([
+                "simulate", "stocks", str(stock_csv),
+                "--length", "3", "--window", "20",
+                "--strategies", "hypersonic,bogus",
+                "--trace-jsonl", str(trace),
+            ])
+        assert list(tmp_path.iterdir()) == [stock_csv]
+        assert capsys.readouterr().out == ""
+
+    def test_exit_status_and_no_traceback(self, stock_csv):
+        import os
+        import subprocess
+        import sys
+
+        import repro
+
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")])
+        )
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "simulate", "stocks",
+             str(stock_csv), "--cores", "0"],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr == "num_cores must be >= 1, got 0\n"
+
+
 class TestSimulateObservability:
     def test_trace_jsonl_and_metrics_out(self, stock_csv, tmp_path, capsys):
         jsonl = tmp_path / "trace.jsonl"

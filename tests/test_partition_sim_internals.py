@@ -53,13 +53,6 @@ class TestSimulatePartitioned:
         # Open-loop pacing stretches total time to about N * pace.
         assert paced.total_time >= 399 * 5.0
 
-    def test_reported_units_override(self):
-        events = make_stream(num_events=100, seed=64)
-        result = PartitionSimulation(
-            SequentialSimEngine(PATTERN), reported_units=24
-        ).run(events)
-        assert result.num_units == 24
-
     def test_busy_time_bounded(self):
         events = make_stream(num_events=300, seed=65)
         result = PartitionSimulation(LLSFEngine(PATTERN, 4)).run(events)

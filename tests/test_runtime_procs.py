@@ -692,15 +692,32 @@ class TestMeasuredTrace:
 
 
 @pytest.mark.wallclock
-class TestRunnerIntegration:
-    def test_simulate_backend_procs(self):
-        from repro.simulator import simulate
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="needs the fork start method")
+class TestCliIntegration:
+    def test_simulate_backend_procs_reports_the_sequential_matches(
+        self, tmp_path, capsys
+    ):
+        from repro.cli import main
 
-        pattern, events = stock_case(num_events=300)
-        result = simulate(
-            "hypersonic", pattern, events, num_cores=2, backend="procs",
+        csv = tmp_path / "stocks.csv"
+        trace = tmp_path / "trace.jsonl"
+        query = ["stocks", str(csv), "--length", "3", "--window", "20",
+                 "--selectivity", "0.4"]
+        main(["generate", "stocks", str(csv), "--events", "600",
+              "--types", "4", "--seed", "3"])
+        assert main(["detect", *query, "--engine", "sequential"]) == 0
+        out = capsys.readouterr().out
+        expected = int(
+            next(line for line in out.splitlines() if "matches" in line)
+            .split()[0]
         )
-        assert result.extra["backend"] == "procs"
-        assert result.matches == len(
-            reference_matches(pattern, events)
-        )
+        assert main([
+            "simulate", *query, "--strategies", "hypersonic",
+            "--backend", "procs", "--procs", "2", "--start-method", "fork",
+            "--trace-jsonl", str(trace),
+        ]) == 0
+        row = capsys.readouterr().out.splitlines()[-1].split()
+        assert row[0] == "hypersonic"
+        assert expected > 0 and int(row[-1]) == expected
+        assert trace.stat().st_size > 0

@@ -207,14 +207,6 @@ def test_bench_kleene_lengths_describe_the_matches(bench_goldens):
     assert max(int(key) for key in lengths) >= 3
 
 
-def test_measure_latency_bit_identical(goldens, pattern):
-    result = simulate(
-        "sequential", pattern, golden_workload(), num_cores=1,
-        measure_latency=True,
-    )
-    assert _roundtrip(result) == goldens["measure_latency"]["sequential"]
-
-
 # --------------------------------------------------------------------- #
 # Streaming inputs: generator == list                                    #
 # --------------------------------------------------------------------- #
@@ -226,18 +218,6 @@ def test_generator_input_matches_list_input(pattern, strategy):
     from_list = simulate(strategy, pattern, events, num_cores=NUM_CORES)
     from_gen = simulate(
         strategy, pattern, (event for event in events), num_cores=NUM_CORES
-    )
-    assert result_payload(from_list) == result_payload(from_gen)
-
-
-def test_generator_input_measure_latency_matches_list(pattern):
-    events = golden_workload()
-    from_list = simulate(
-        "rip", pattern, events, num_cores=NUM_CORES, measure_latency=True
-    )
-    from_gen = simulate(
-        "rip", pattern, (event for event in events), num_cores=NUM_CORES,
-        measure_latency=True,
     )
     assert result_payload(from_list) == result_payload(from_gen)
 

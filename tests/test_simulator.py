@@ -121,13 +121,6 @@ class TestSimulate:
         )
         assert paced.matches == closed.matches
 
-    def test_measure_latency_two_phase(self, events):
-        result = simulate(
-            "sequential", PATTERN, events, num_cores=1,
-            measure_latency=True,
-        )
-        assert "latency_pace" in result.extra
-
     def test_costs_affect_total_time(self, events):
         cheap = simulate(
             "hypersonic", PATTERN, events, num_cores=4,
