@@ -578,10 +578,8 @@ def _build_slo_specs(args, default_window: float):
         return ()
     from repro.obs import DEFAULT_OBJECTIVE, SloSpec
 
-    window = (
-        args.slo_window if args.slo_window and args.slo_window > 0
-        else default_window
-    )
+    # An explicit window of zero or less reaches SloSpec, which refuses it.
+    window = args.slo_window if args.slo_window is not None else default_window
     objective = (
         args.slo_objective if args.slo_objective is not None
         else DEFAULT_OBJECTIVE

@@ -51,6 +51,7 @@ __all__ = [
     "kleene_representative",
     "center_history",
     "centered_pearson",
+    "is_plain",
     "pearson_correlation",
 ]
 
@@ -230,13 +231,28 @@ class PairwiseCondition(Condition):
         return f"PairwiseCondition({self.name}:{self.left},{self.right})"
 
 
+def is_plain(condition: Condition, base: type) -> bool:
+    """Is *condition* a *base* that judges as *base* itself does?
+
+    A subclass that overrides ``evaluate`` or ``compile_check`` is not:
+    a check or a kernel built from *base*'s fields would bypass the
+    override.  The compiled checks of :class:`AttributeCondition` and
+    :class:`CorrelationCondition` and
+    :func:`~repro.core.vectorized.compile_stage_kernel` all apply this
+    one rule.
+    """
+    cls = type(condition)
+    return (isinstance(condition, base) and cls.evaluate is base.evaluate
+            and cls.compile_check is base.compile_check)
+
+
 def _bound_side(condition: "AttributeCondition | CorrelationCondition",
                 base: type, position: str) -> str | None:
     """The bound side of *condition*, of built-in class *base*, compiled
     for the stage binding *position*.  ``None`` (compile to the generic
-    check) unless exactly one side is *position*, or when the condition's
-    class overrides ``evaluate``, which a direct check would bypass."""
-    if type(condition).evaluate is not base.evaluate:
+    check) unless exactly one side is *position*, or when the condition
+    is not :func:`is_plain`."""
+    if not is_plain(condition, base):
         return None
     left, right = condition.left, condition.right
     if left == position and right != position:

@@ -49,3 +49,9 @@ class SimulationError(ReproError):
 
 class EngineError(ReproError):
     """An engine was driven incorrectly (e.g. events after ``close()``)."""
+
+
+class DatasetError(ReproError, ValueError):
+    """A dataset generator or calibration got a value it cannot use, such
+    as no symbols or a target selectivity outside (0, 1).  It is also a
+    ``ValueError``, which these checks raised before."""

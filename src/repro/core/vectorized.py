@@ -1,8 +1,9 @@
 """Vectorized predicate kernels and columnar fragment views.
 
 The batched execution mode (``batch_size > 1``) evaluates a stage's
-conditions over a whole buffer fragment at once instead of pair by pair.
-This module supplies the three pieces it needs:
+conditions over a whole buffer fragment at once instead of pair by pair,
+and the planner's sampler over a whole sample.  This module supplies the
+pieces they need:
 
 * **Batched Pearson correlation.**  Histories are centered *once per
   event* in pure Python by :func:`repro.core.conditions.center_history`,
@@ -21,6 +22,14 @@ This module supplies the three pieces it needs:
   :func:`pearson_correlation`; outside the band the (≤ 1e-12) error cannot
   flip the sign of ``corr - threshold``.  The same argument makes verdicts
   identical whether numpy is importable or not.
+
+* **Pairwise dots for the planner's sampler.**  :func:`centered_rows`
+  centers a table of histories with numpy, bit for bit as
+  :func:`~repro.core.conditions.center_history` does, and
+  :func:`pairwise_pearson_above` judges a list of row pairs with one dot
+  each and the same recheck band; the sampler's stage-at-a-time join
+  (:mod:`repro.costmodel.statistics`) reads them with the stage kernels'
+  ops.  They need numpy; without it the sampler runs its event loop.
 
 * **Columnar fragment views.**  :class:`EventColumns` /
   :class:`MatchColumns` maintain contiguous per-attribute arrays
@@ -48,7 +57,7 @@ the scalar operator table.
 
 from __future__ import annotations
 
-from itertools import compress
+from itertools import chain, compress
 from typing import Any, Callable, Sequence
 
 from repro.core.conditions import (
@@ -59,6 +68,7 @@ from repro.core.conditions import (
     _OPERATORS,
     center_history,
     centered_pearson,
+    is_plain,
     pearson_correlation,
 )
 from repro.core.nfa import Stage, last_bound_event
@@ -76,6 +86,8 @@ __all__ = [
     "CORR_BAND",
     "have_numpy",
     "batched_pearson",
+    "centered_rows",
+    "pairwise_pearson_above",
     "batched_compare",
     "HistoryColumn",
     "ValueColumn",
@@ -143,6 +155,90 @@ def batched_pearson(
     for row in histories:
         column.append(row)
     return column.correlations(query, range(len(histories)))
+
+
+#: Longest history :func:`centered_rows` takes.  Two dots of n terms,
+#: summed in any orders, differ by at most about ``2 * n * 1.1e-16`` times
+#: the product of the rows' norms, so their coefficients differ by at most
+#: that much: below :data:`CORR_BAND` up to a few million terms.
+MAX_HISTORY = 10**6
+
+#: Most pairs :func:`pairwise_pearson_above` gathers at once; it bounds
+#: the two row matrices the gather builds.
+_PAIR_CHUNK = 256
+
+
+def centered_rows(histories: Sequence[Any]):
+    """``(rows, norms)`` for :func:`pairwise_pearson_above`: the matrix of
+    each history's :func:`center_history` deviations and the vector of
+    their norms, a zero row and norm for a degenerate history.
+
+    The histories must be lists or tuples of one length (at most
+    :data:`MAX_HISTORY`) of floats that center to finite values, or the
+    result is ``None``.  Then every value is ``center_history``'s bit for
+    bit: the mean is Python's ``sum`` over the length, each deviation one
+    subtraction, and the sum of squares accumulates column by column in
+    the scalar loop's order.
+    """
+    if not all(isinstance(history, (list, tuple)) for history in histories):
+        return None
+    width = len(histories[0]) if len(histories) else 0
+    if width > MAX_HISTORY or any(len(history) != width
+                                  for history in histories):
+        return None
+    if not set(map(type, chain.from_iterable(histories))) <= {float}:
+        return None
+    rows = np.array(histories, dtype=float).reshape(len(histories), width)
+    if width < 2:
+        return np.zeros_like(rows), np.zeros(len(histories))
+    squares = np.zeros(len(histories))
+    with np.errstate(all="ignore"):  # non-finite values are refused below
+        rows -= np.array([sum(history) for history in histories]
+                         )[:, None] / width
+        for column in rows.T:
+            squares += column * column
+    if not (np.isfinite(rows).all() and np.isfinite(squares).all()):
+        return None
+    rows[squares == 0.0] = 0.0
+    return rows, np.sqrt(squares)
+
+
+def pairwise_pearson_above(left, right, left_index, right_index,
+                           threshold: float,
+                           recheck: Callable[[int], bool]):
+    """``pearson_correlation(x, y) > threshold`` for each pair k of left
+    row ``left_index[k]`` and right row ``right_index[k]`` of two
+    :func:`centered_rows` tables, as a bool array.
+
+    Each pair costs one row dot.  A coefficient within :data:`CORR_BAND`
+    of *threshold* is decided by ``recheck(k)`` instead, and a degenerate
+    row correlates 0.0 exactly, so every verdict is the scalar one.
+    ``None`` when a coefficient is not finite (the product of two norms
+    underflowed or overflowed), where the scalar division would raise or
+    its clamp would see a NaN.
+    """
+    left_rows, left_norms = left
+    right_rows, right_norms = right
+    first, second = left_norms[left_index], right_norms[right_index]
+    covs = np.empty(len(left_index))
+    for start in range(0, len(left_index), _PAIR_CHUNK):
+        stop = start + _PAIR_CHUNK
+        covs[start:stop] = np.einsum(
+            "ij,ij->i", left_rows[left_index[start:stop]],
+            right_rows[right_index[start:stop]])
+    with np.errstate(all="ignore"):
+        corrs = covs / (first * second)
+    degenerate = (first == 0.0) | (second == 0.0)
+    corrs[degenerate] = 0.0
+    if not np.isfinite(corrs).all():
+        return None
+    # The scalar function's clamp, on finite values.
+    np.clip(corrs, -1.0, 1.0, out=corrs)
+    verdicts = corrs > threshold
+    near = ~degenerate & (np.abs(corrs - threshold) <= CORR_BAND)
+    for k in np.flatnonzero(near).tolist():
+        verdicts[k] = recheck(k)
+    return verdicts
 
 
 def batched_compare(operator: str, lhs: Any, rhs: Any) -> list[bool]:
@@ -549,28 +645,33 @@ class StageKernel:
         return specs
 
 
+def _conjuncts(conditions):
+    """*conditions* with plain conjunctions flattened, in order."""
+    for condition in conditions:
+        if is_plain(condition, AndCondition):
+            yield from _conjuncts(condition.parts)
+        else:
+            yield condition
+
+
 def compile_stage_kernel(stage: Stage) -> StageKernel | None:
     """Build a vectorized kernel for *stage*, or ``None`` when any of its
     conditions falls outside the vectorizable forms (Kleene stages, unary
     or arbitrary pairwise predicates, disjunctions, reductions of a Kleene
-    tuple other than its last event)."""
+    tuple other than its last event, and subclasses that are not
+    :func:`~repro.core.conditions.is_plain`, whose own ``evaluate`` or
+    ``compile_check`` a kernel would bypass)."""
     if stage.is_kleene:
         return None
     position = stage.item.name
-    flat: list = []
-    for condition in stage.conditions:
-        if isinstance(condition, AndCondition):
-            flat.extend(condition.flattened())
-        else:
-            flat.append(condition)
     ops: list = []
-    for condition in flat:
-        if isinstance(condition, TrueCondition):
+    for condition in _conjuncts(stage.conditions):
+        if is_plain(condition, TrueCondition):
             continue
         if getattr(condition, "reduce", "last") != "last":
             # The columns read a Kleene tuple's last event (_bound_event).
             return None
-        if isinstance(condition, CorrelationCondition):
+        if is_plain(condition, CorrelationCondition):
             if condition.left == position and condition.right != position:
                 other = condition.right
             elif condition.right == position and condition.left != position:
@@ -579,7 +680,7 @@ def compile_stage_kernel(stage: Stage) -> StageKernel | None:
                 return None
             ops.append(_CorrOp(other, condition.attribute, condition.threshold))
             continue
-        if isinstance(condition, AttributeCondition):
+        if is_plain(condition, AttributeCondition):
             if condition.left == position and condition.right != position:
                 ops.append(_AttrOp(
                     condition.operator, condition.left_attribute,

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.core.errors import DatasetError
 from repro.core.events import Event
 from repro.core.streams import concat_streams
 from repro.datasets.stocks import StockConfig, generate_stock_stream
@@ -49,12 +50,14 @@ class BurstyConfig:
     seed: int = 42
 
     def __post_init__(self) -> None:
+        if not self.symbols:
+            raise DatasetError("a bursty stream needs at least one symbol")
         if self.num_phases < 1:
-            raise ValueError("num_phases must be >= 1")
+            raise DatasetError("num_phases must be >= 1")
         if self.events_per_phase < 1:
-            raise ValueError("events_per_phase must be >= 1")
+            raise DatasetError("events_per_phase must be >= 1")
         if not 1 <= self.hot_symbols <= len(self.symbols):
-            raise ValueError(
+            raise DatasetError(
                 "hot_symbols must be between 1 and the symbol count"
             )
 

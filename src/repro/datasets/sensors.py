@@ -24,6 +24,7 @@ import random
 from dataclasses import dataclass
 from typing import Sequence
 
+from repro.core.errors import DatasetError
 from repro.core.events import Event, EventType
 from repro.datasets.base import ArrivalProcess, interleave_arrivals
 
@@ -159,7 +160,9 @@ def calibrate_distance_margin(
     (``M = 0`` recovers the paper's form).
     """
     if not 0.0 < target_selectivity < 1.0:
-        raise ValueError("target selectivity must be in (0, 1)")
+        raise DatasetError(
+            f"target selectivity must be in (0, 1), got {target_selectivity}"
+        )
     attribute = f"distance_{zone}"
     samples: list[float] = []
     recent: list[Event] = []

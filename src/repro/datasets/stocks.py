@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
 from repro.core.conditions import pearson_correlation
+from repro.core.errors import DatasetError
 from repro.core.events import Event, EventType
 from repro.datasets.base import ArrivalProcess, interleave_arrivals
 
@@ -62,6 +63,10 @@ class StockConfig:
     noise_volatility: float = 1.0
     num_events: int = 10_000
     seed: int = 42
+
+    def __post_init__(self) -> None:
+        if not self.symbols:
+            raise DatasetError("a stock stream needs at least one symbol")
 
     def rate_of(self, index: int) -> float:
         if isinstance(self.rates, tuple):
@@ -206,7 +211,9 @@ def calibrate_correlation_threshold(
     known operating point, and the threshold is what sets it.
     """
     if not 0.0 < target_selectivity < 1.0:
-        raise ValueError("target selectivity must be in (0, 1)")
+        raise DatasetError(
+            f"target selectivity must be in (0, 1), got {target_selectivity}"
+        )
     samples = []
     for value in _history_correlations(events, pair[0], pair[1], window):
         samples.append(value)

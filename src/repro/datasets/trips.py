@@ -31,6 +31,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
+from repro.core.errors import DatasetError
 from repro.core.events import Event, EventType
 from repro.datasets.base import ordered_event_stream
 
@@ -65,13 +66,13 @@ class TripConfig:
 
     def __post_init__(self) -> None:
         if self.num_bikes < 1:
-            raise ValueError("num_bikes must be >= 1")
+            raise DatasetError("num_bikes must be >= 1")
         if self.num_trips < 1:
-            raise ValueError("num_trips must be >= 1")
+            raise DatasetError("num_trips must be >= 1")
         if self.mean_rides < 1.0:
-            raise ValueError("mean_rides must be >= 1 (tuples are non-empty)")
+            raise DatasetError("mean_rides must be >= 1 (tuples are non-empty)")
         if not 0.0 <= self.dropout < 1.0:
-            raise ValueError("dropout must be in [0, 1)")
+            raise DatasetError("dropout must be in [0, 1)")
 
 
 def _trips_of(config: TripConfig, bike: int) -> int:

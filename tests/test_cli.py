@@ -135,24 +135,77 @@ class TestCleanErrors:
         assert capsys.readouterr().out == ""
 
     def test_exit_status_and_no_traceback(self, stock_csv):
-        import os
-        import subprocess
-        import sys
-
-        import repro
-
-        src = os.path.dirname(os.path.dirname(repro.__file__))
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            filter(None, [src, env.get("PYTHONPATH")])
-        )
-        proc = subprocess.run(
-            [sys.executable, "-m", "repro", "simulate", "stocks",
-             str(stock_csv), "--cores", "0"],
-            capture_output=True, text=True, env=env,
-        )
+        proc = run_repro("simulate", "stocks", str(stock_csv), "--cores", "0")
         assert proc.returncode == 1
         assert proc.stderr == "num_cores must be >= 1, got 0\n"
+
+    @pytest.mark.parametrize("command", ["detect", "simulate", "autotune"])
+    @pytest.mark.parametrize("value", ["0", "1", "2", "-0.5"])
+    def test_selectivity_outside_the_unit_interval(self, stock_csv, command,
+                                                   value):
+        with pytest.raises(SystemExit) as err:
+            main([command, "stocks", str(stock_csv),
+                  "--selectivity", value])
+        assert err.value.code == (
+            f"target selectivity must be in (0, 1), got {float(value)}")
+
+    def test_selectivity_on_a_sensor_stream(self, tmp_path):
+        path = tmp_path / "sensors.csv"
+        assert main(["generate", "sensors", str(path), "--events", "300"]) == 0
+        with pytest.raises(SystemExit) as err:
+            main(["detect", "sensors", str(path), "--selectivity", "0"])
+        assert err.value.code == "target selectivity must be in (0, 1), got 0.0"
+
+    @pytest.mark.parametrize("value", ["0", "-5"])
+    def test_slo_window_at_or_below_zero(self, stock_csv, value):
+        with pytest.raises(SystemExit) as err:
+            main(["simulate", "stocks", str(stock_csv),
+                  "--strategies", "hypersonic", "--slo-p95", "50",
+                  "--slo-window", value])
+        assert err.value.code == (
+            f"bad SLO spec: SLO window must be > 0, got {float(value)}")
+
+    @pytest.mark.parametrize("dataset, kind", [("stocks", "stock"),
+                                               ("bursty", "bursty")])
+    def test_generate_without_symbols(self, tmp_path, dataset, kind):
+        path = tmp_path / "out.csv"
+        with pytest.raises(SystemExit) as err:
+            main(["generate", dataset, str(path), "--types", "0"])
+        assert err.value.code == f"a {kind} stream needs at least one symbol"
+        assert not path.exists()
+
+    @pytest.mark.parametrize("args, message", [
+        (["detect", "stocks", "{csv}", "--selectivity", "0"],
+         "target selectivity must be in (0, 1), got 0.0"),
+        (["simulate", "stocks", "{csv}", "--strategies", "hypersonic",
+          "--slo-p95", "50", "--slo-window", "-5"],
+         "bad SLO spec: SLO window must be > 0, got -5.0"),
+        (["generate", "stocks", "{out}", "--types", "0"],
+         "a stock stream needs at least one symbol"),
+    ], ids=["selectivity", "slo_window", "types"])
+    def test_one_line_and_exit_status_1(self, stock_csv, tmp_path, args,
+                                        message):
+        proc = run_repro(*(arg.format(csv=stock_csv, out=tmp_path / "o.csv")
+                           for arg in args))
+        assert proc.returncode == 1
+        assert proc.stderr == message + "\n"
+
+
+def run_repro(*args: str):
+    """``python -m repro`` with *args* in a fresh interpreter."""
+    import os
+    import subprocess
+    import sys
+
+    import repro
+
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")])
+    )
+    return subprocess.run([sys.executable, "-m", "repro", *args],
+                          capture_output=True, text=True, env=env)
 
 
 class TestSimulateObservability:

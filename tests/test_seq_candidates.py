@@ -17,7 +17,6 @@ from unittest import mock
 from hypothesis import example, given, settings, strategies as st
 
 from repro.core import Event, EventType, Pattern
-from repro.core import vectorized
 from repro.core.conditions import AttributeCondition
 from repro.core.matches import PartialMatch
 from repro.core.nfa import (
@@ -177,10 +176,8 @@ def test_bisect_count_equals_the_scan_of_every_pool(name, data):
         for event in events:
             engine.process(event)
 
-    # The sampler through its pair loop, which every stage then takes.
-    with mock.patch.object(vectorized, "compile_stage_kernel",
-                           lambda stage: None):
-        run = statistics._SamplingRun(compile_pattern(pattern))
+    # The sampler's event loop: the pair loop, or a keyed scan.
+    run = statistics._SamplingRun(compile_pattern(pattern))
 
     def sampler_scan(partials, stages, index, event, window_):
         _check_pool(run._pools[index], stages, index, event, window_)

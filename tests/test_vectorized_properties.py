@@ -17,6 +17,7 @@ place equals one built from scratch over the surviving fragment.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import pytest
@@ -30,16 +31,21 @@ from repro.core import (
     Event,
     EventType,
     Pattern,
+    TrueCondition,
 )
 from repro.core.conditions import (
     _OPERATORS,
     CenteredHistories,
+    center_history,
     pearson_correlation,
 )
 from repro.core.errors import ConditionError
 from repro.core.matches import PartialMatch
 from repro.core.nfa import compile_pattern
 from repro.core.vectorized import batched_compare, batched_pearson
+from repro.datasets.stocks import StockConfig, generate_stock_stream
+from repro.engine.sequential import detect
+from repro.simulator import simulate
 
 TOLERANCE = 1e-12
 
@@ -163,6 +169,86 @@ class TestBatchedCompare:
         scalar_op = _OPERATORS[operator]
         batched = batched_compare(operator, values, pivot)
         assert batched == [bool(scalar_op(v, pivot)) for v in values]
+
+
+@st.composite
+def pairwise_case(draw):
+    """Two tables of histories of one length, pairs of their rows, and a
+    threshold on, or one float either side of, a pair's coefficient."""
+    length = draw(st.integers(min_value=2, max_value=24))
+    left = draw(histories_of(length).filter(bool))
+    right = draw(histories_of(length).filter(bool))
+    pairs = draw(st.lists(st.tuples(st.integers(0, len(left) - 1),
+                                    st.integers(0, len(right) - 1)),
+                          min_size=1, max_size=12))
+    anchor = pearson_correlation(left[pairs[0][0]], right[pairs[0][1]])
+    threshold = draw(st.sampled_from([
+        anchor, math.nextafter(anchor, -math.inf),
+        math.nextafter(anchor, math.inf), 0.0,
+    ]))
+    return left, right, pairs, threshold
+
+
+class TestPairwisePearson:
+    """The sampler's sweep correlates its candidate pairs through
+    :func:`~repro.core.vectorized.pairwise_pearson_above`; each verdict
+    must be the scalar one."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=pairwise_case())
+    def test_verdicts_are_the_scalar_ones(self, case):
+        np = pytest.importorskip("numpy")
+        left, right, pairs, threshold = case
+        rows = np.array([i for i, _ in pairs], dtype=np.intp)
+        bound = np.array([j for _, j in pairs], dtype=np.intp)
+        rechecked = []
+
+        def recheck(k):
+            rechecked.append(k)
+            return pearson_correlation(left[rows[k]],
+                                       right[bound[k]]) > threshold
+
+        verdicts = vec.pairwise_pearson_above(
+            vec.centered_rows(left), vec.centered_rows(right), rows, bound,
+            threshold, recheck)
+        assert verdicts.tolist() == [
+            pearson_correlation(left[i], right[j]) > threshold
+            for i, j in pairs
+        ]
+        assert len(rechecked) <= len(pairs)
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=pearson_case())
+    def test_rows_are_center_history_bit_for_bit(self, case):
+        pytest.importorskip("numpy")
+        query, histories = case
+        histories = [query] + histories
+        rows, norms = vec.centered_rows(histories)
+        for history, row, norm in zip(histories, rows.tolist(),
+                                      norms.tolist()):
+            centered = center_history(history)
+            if centered is None:
+                assert norm == 0.0 and not any(row)
+            else:
+                assert (row, norm) == (centered[0], centered[1])
+
+    def test_rows_it_cannot_dot_are_refused(self):
+        pytest.importorskip("numpy")
+        assert vec.centered_rows([[1.0, 2.0], [1.0]]) is None
+        assert vec.centered_rows([[1.0, 2.0], "ab"]) is None
+        assert vec.centered_rows([[1.0, math.inf]]) is None
+        assert vec.centered_rows([[0.0, 1e200]]) is None  # norm overflows
+        rows, norms = vec.centered_rows([[3.0, 3.0], [1.0, 2.0]])
+        assert norms[0] == 0.0 and norms[1] > 0.0
+
+    def test_a_coefficient_that_is_not_finite_is_refused(self):
+        np = pytest.importorskip("numpy")
+        # Norms whose product underflows to zero: the scalar division
+        # would raise.
+        tiny = (np.array([[1.0, -1.0]]), np.array([1e-200]))
+        index = np.zeros(1, dtype=np.intp)
+        assert vec.pairwise_pearson_above(
+            tiny, tiny, index, index, 0.0, lambda k: True) is None
 
 
 def test_have_numpy_reflects_handle(monkeypatch):
@@ -378,3 +464,81 @@ class TestViewsPurgedInPlace:
             assert_fresh(kind, eager, fragment, probes)
         lazy.sync(fragment)
         assert_fresh(kind, lazy, fragment, probes)
+
+
+# --------------------------------------------------------------------- #
+# Subclasses that judge for themselves get no kernel                     #
+# --------------------------------------------------------------------- #
+
+
+class Never(CorrelationCondition):
+    def evaluate(self, binding):
+        return False
+
+
+class Inverted(AttributeCondition):
+    def evaluate(self, binding):
+        return not super().evaluate(binding)
+
+
+class Recompiled(AttributeCondition):
+    def compile_check(self, position, histories):
+        return lambda binding, event: False
+
+
+class Refusing(TrueCondition):
+    def evaluate(self, binding):
+        return False
+
+
+class Either(AndCondition):
+    def evaluate(self, binding):
+        return any(part.evaluate(binding) for part in self.parts)
+
+
+class TestKernelClassRule:
+    """``compile_stage_kernel`` applies :func:`is_plain`, the rule of the
+    compiled checks: a kernel built from a condition's fields would
+    bypass an overridden ``evaluate`` or ``compile_check``."""
+
+    @pytest.mark.parametrize("condition", [
+        Never("p1", "p2", -1.0),
+        Inverted("p1", "x", "<", "p2", "x"),
+        Recompiled("p1", "x", "<", "p2", "x"),
+        AndCondition((Refusing(), AttributeCondition("p1", "x", "<",
+                                                     "p2", "x"))),
+        AndCondition((AndCondition(()), Either((
+            AttributeCondition("p1", "x", "<", "p2", "x"),
+            AttributeCondition("p1", "x", ">", "p2", "x"),
+        )))),
+    ], ids=["correlation", "attribute", "compile_check", "true", "and"])
+    def test_no_kernel_for_a_subclass(self, condition):
+        # The stage is built with the condition as given: the pattern
+        # compiler would flatten the conjunctions first.
+        stage = compile_pattern(Pattern.sequence(["A", "B"], window=2.0)
+                                ).stages[1]
+        stage = dataclasses.replace(stage, conditions=(condition,))
+        assert vec.compile_stage_kernel(stage) is None
+
+    def test_plain_conditions_still_compile(self):
+        stage = compile_pattern(Pattern.sequence(
+            ["A", "B"], window=2.0, condition=AndCondition((
+                TrueCondition(),
+                AndCondition((AttributeCondition("p1", "x", "<", "p2", "x"),
+                              CorrelationCondition("p1", "p2", 0.5))),
+            )))).stages[1]
+        kernel = vec.compile_stage_kernel(stage)
+        assert kernel is not None and len(kernel.ops) == 2
+
+    @pytest.mark.parametrize("batch_size", [1, 64])
+    def test_batched_simulator_calls_an_overridden_evaluate(self, backend,
+                                                            batch_size):
+        """Stage 1's condition rejects every pair through its own
+        ``evaluate``; at batch 64 the kernel used to accept them."""
+        events = generate_stock_stream(StockConfig(num_events=600, seed=3))
+        pattern = Pattern.sequence(["S0", "S1", "S2"], window=20.0,
+                                   condition=Never("p1", "p2", -1.0))
+        assert detect(pattern, events) == []
+        result = simulate("hypersonic", pattern, events, 8,
+                          batch_size=batch_size)
+        assert result.matches == 0
