@@ -235,23 +235,26 @@ def is_plain(condition: Condition, base: type) -> bool:
     """Is *condition* a *base* that judges as *base* itself does?
 
     A subclass that overrides ``evaluate`` or ``compile_check`` is not:
-    a check or a kernel built from *base*'s fields would bypass the
-    override.  The compiled checks of :class:`AttributeCondition` and
-    :class:`CorrelationCondition` and
-    :func:`~repro.core.vectorized.compile_stage_kernel` all apply this
-    one rule.
+    a check, a kernel or a join key built from *base*'s fields, or a
+    split into the parts of a conjunction, would bypass the override.
+    Every class test that decides how a conjunct is flattened
+    (:meth:`AndCondition.flattened`), dropped
+    (:meth:`~repro.core.patterns.Pattern.conjuncts`), compiled, kernelized
+    (:func:`~repro.core.vectorized.compile_stage_kernel`) or keyed
+    (:func:`~repro.core.joinkeys.join_key`) is this one.
     """
     cls = type(condition)
     return (isinstance(condition, base) and cls.evaluate is base.evaluate
             and cls.compile_check is base.compile_check)
 
 
-def _bound_side(condition: "AttributeCondition | CorrelationCondition",
-                base: type, position: str) -> str | None:
-    """The bound side of *condition*, of built-in class *base*, compiled
-    for the stage binding *position*.  ``None`` (compile to the generic
-    check) unless exactly one side is *position*, or when the condition
-    is not :func:`is_plain`."""
+def _bound_side(condition: Condition, base: type,
+                position: str) -> str | None:
+    """The bound side of *condition*, of built-in class *base*, at the
+    stage binding *position*: the other position it reads.  ``None``
+    (compile to the generic check, build no kernel op and no join key)
+    unless exactly one side is *position*, or when the condition is not
+    :func:`is_plain`."""
     if not is_plain(condition, base):
         return None
     left, right = condition.left, condition.right
@@ -691,11 +694,13 @@ class AndCondition(Condition):
         """Flatten nested conjunctions into a single tuple of conjuncts.
 
         The NFA compiler uses this so each conjunct can be attached to the
-        earliest state where its dependencies are bound.
+        earliest state where its dependencies are bound.  Only a plain
+        conjunction is split (:func:`is_plain`): a subclass that judges
+        for itself stays one conjunct, evaluated whole.
         """
         parts: list[Condition] = []
         for part in self.parts:
-            if isinstance(part, AndCondition):
+            if is_plain(part, AndCondition):
                 parts.extend(part.flattened())
             else:
                 parts.append(part)

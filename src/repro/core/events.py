@@ -16,7 +16,8 @@ from typing import Any, Iterable, Iterator, Mapping
 
 from repro.core.errors import StreamError
 
-__all__ = ["EventType", "Event", "validate_stream_order", "stream_from_records"]
+__all__ = ["EventType", "Event", "check_order", "validate_stream_order",
+           "stream_from_records"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -120,22 +121,30 @@ class Event:
         )
 
 
-def validate_stream_order(stream: Iterable[Event]) -> Iterator[Event]:
-    """Yield events from *stream*, raising :class:`StreamError` on disorder.
+def check_order(event: Event, previous: float) -> float:
+    """The timestamp of *event*, which follows an event at *previous* in
+    the stream; :class:`StreamError` when it is earlier.
 
     The paper assumes the global stream emits events in timestamp order
-    (Section 3.1); engines that rely on this wrap their input with this
-    generator so violations surface at the offending event rather than as a
-    silently wrong match set.
+    (Section 3.1).  Every entry point that takes a stream applies this
+    rule to each event, so a violation surfaces at the offending event
+    rather than as a silently wrong match set.
     """
-    last: float | None = None
+    timestamp = event.timestamp
+    if timestamp < previous:
+        raise StreamError(
+            f"out-of-order event {event!r}: timestamp {timestamp} "
+            f"< previous {previous}"
+        )
+    return timestamp
+
+
+def validate_stream_order(stream: Iterable[Event]) -> Iterator[Event]:
+    """Yield events from *stream*, raising :class:`StreamError` on
+    disorder (:func:`check_order`)."""
+    last = float("-inf")
     for event in stream:
-        if last is not None and event.timestamp < last:
-            raise StreamError(
-                f"out-of-order event {event!r}: timestamp {event.timestamp} "
-                f"< previous {last}"
-            )
-        last = event.timestamp
+        last = check_order(event, last)
         yield event
 
 

@@ -1,6 +1,6 @@
 """Equality-keyed join buckets (DESIGN §2p).
 
-A stage or negation guard whose *first* conjunct is the built-in
+A stage or negation guard whose *first* conjunct is a plain
 :class:`~repro.core.conditions.AttributeCondition` ``bound.attr ==
 new.attr`` only ever pairs items with equal keys: when the two keys
 differ, that conjunct is ``False``, so ``Stage.accepts`` and
@@ -31,6 +31,7 @@ from typing import Any, Callable, Iterable, Mapping, Sequence
 from repro.core.conditions import (
     AttributeCondition,
     Condition,
+    _bound_side,
     kleene_representative,
 )
 from repro.core.errors import ConditionError
@@ -85,20 +86,20 @@ class JoinKey:
 def join_key(conditions: Sequence[Condition], position: str) -> JoinKey | None:
     """The key of the stage or guard binding *position*, whose conjuncts
     are *conditions* in evaluation order: ``None`` unless the first one is
-    an ``AttributeCondition`` (the class itself, not a subclass) with
-    ``==`` between *position* and another position."""
+    a plain ``AttributeCondition`` (:func:`~repro.core.conditions.is_plain`)
+    with ``==`` between *position* and another position, the bound side
+    its compiled check reads."""
     if not conditions:
         return None
     first = conditions[0]
-    if type(first) is not AttributeCondition or first.operator != "==":
+    bound = _bound_side(first, AttributeCondition, position)
+    if bound is None or first.operator != "==":
         return None
-    if first.right == position and first.left != position:
-        return JoinKey(first.right_attribute, first.left,
-                       first.left_attribute, first.reduce)
-    if first.left == position and first.right != position:
-        return JoinKey(first.left_attribute, first.right,
-                       first.right_attribute, first.reduce)
-    return None
+    if bound == first.left:
+        return JoinKey(first.right_attribute, bound, first.left_attribute,
+                       first.reduce)
+    return JoinKey(first.left_attribute, bound, first.right_attribute,
+                   first.reduce)
 
 
 class KeyBuckets:

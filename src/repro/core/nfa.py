@@ -193,6 +193,22 @@ class Stage:
                 return False
         return True
 
+    def bind(self, partial: PartialMatch, event: Event) -> PartialMatch:
+        """*partial*, which does not bind this stage yet, with *event*
+        bound here: a Kleene stage starts its tuple with it, which
+        :meth:`PartialMatch.extended_kleene` then grows; any other stage
+        binds it alone."""
+        name = self.item.name
+        if not self.item.is_kleene:
+            return partial.extended(name, event)
+        binding = dict(partial.binding)
+        binding[name] = (event,)
+        return PartialMatch(
+            binding=binding,
+            earliest=min(partial.earliest, event.timestamp),
+            latest=max(partial.latest, event.timestamp),
+        )
+
 
 def _compile(node: "Stage | NegationGuard") -> None:
     """Compile the checks and derive the join key of a stage or guard."""

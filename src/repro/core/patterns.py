@@ -40,7 +40,12 @@ import enum
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from repro.core.conditions import AndCondition, Condition, TrueCondition
+from repro.core.conditions import (
+    AndCondition,
+    Condition,
+    TrueCondition,
+    is_plain,
+)
 from repro.core.errors import PatternError
 from repro.core.events import EventType
 
@@ -399,12 +404,15 @@ class Pattern:
     def conjuncts(self) -> tuple[Condition, ...]:
         """The flattened list of conjunct conditions.
 
-        A plain (non-AND) condition is returned as a single conjunct;
-        ``TrueCondition`` yields an empty tuple.
+        A plain ``TrueCondition`` yields an empty tuple, a plain
+        ``AndCondition`` its :meth:`~AndCondition.flattened` parts, and any
+        other condition, a subclass of either that judges for itself
+        included (:func:`~repro.core.conditions.is_plain`), is a single
+        conjunct.
         """
-        if isinstance(self.condition, TrueCondition):
+        if is_plain(self.condition, TrueCondition):
             return ()
-        if isinstance(self.condition, AndCondition):
+        if is_plain(self.condition, AndCondition):
             return self.condition.flattened()
         return (self.condition,)
 

@@ -61,14 +61,12 @@ from itertools import chain, compress
 from typing import Any, Callable, Sequence
 
 from repro.core.conditions import (
-    AndCondition,
     AttributeCondition,
     CorrelationCondition,
-    TrueCondition,
     _OPERATORS,
+    _bound_side,
     center_history,
     centered_pearson,
-    is_plain,
     pearson_correlation,
 )
 from repro.core.nfa import Stage, last_bound_event
@@ -645,58 +643,37 @@ class StageKernel:
         return specs
 
 
-def _conjuncts(conditions):
-    """*conditions* with plain conjunctions flattened, in order."""
-    for condition in conditions:
-        if is_plain(condition, AndCondition):
-            yield from _conjuncts(condition.parts)
-        else:
-            yield condition
-
-
 def compile_stage_kernel(stage: Stage) -> StageKernel | None:
     """Build a vectorized kernel for *stage*, or ``None`` when any of its
     conditions falls outside the vectorizable forms (Kleene stages, unary
     or arbitrary pairwise predicates, disjunctions, reductions of a Kleene
     tuple other than its last event, and subclasses that are not
     :func:`~repro.core.conditions.is_plain`, whose own ``evaluate`` or
-    ``compile_check`` a kernel would bypass)."""
+    ``compile_check`` a kernel would bypass).  Each op reads the bound
+    side the compiled check reads (``conditions._bound_side``)."""
     if stage.is_kleene:
         return None
     position = stage.item.name
     ops: list = []
-    for condition in _conjuncts(stage.conditions):
-        if is_plain(condition, TrueCondition):
-            continue
+    for condition in stage.conditions:
         if getattr(condition, "reduce", "last") != "last":
             # The columns read a Kleene tuple's last event (_bound_event).
             return None
-        if is_plain(condition, CorrelationCondition):
-            if condition.left == position and condition.right != position:
-                other = condition.right
-            elif condition.right == position and condition.left != position:
-                other = condition.left
-            else:
-                return None
+        other = _bound_side(condition, CorrelationCondition, position)
+        if other is not None:
             ops.append(_CorrOp(other, condition.attribute, condition.threshold))
             continue
-        if is_plain(condition, AttributeCondition):
-            if condition.left == position and condition.right != position:
-                ops.append(_AttrOp(
-                    condition.operator, condition.left_attribute,
-                    condition.right, condition.right_attribute,
-                    event_is_left=True,
-                ))
-            elif condition.right == position and condition.left != position:
-                ops.append(_AttrOp(
-                    condition.operator, condition.right_attribute,
-                    condition.left, condition.left_attribute,
-                    event_is_left=False,
-                ))
-            else:
-                return None
-            continue
-        return None
+        other = _bound_side(condition, AttributeCondition, position)
+        if other is None:
+            return None
+        if other == condition.right:
+            ops.append(_AttrOp(condition.operator, condition.left_attribute,
+                               other, condition.right_attribute,
+                               event_is_left=True))
+        else:
+            ops.append(_AttrOp(condition.operator, condition.right_attribute,
+                               other, condition.left_attribute,
+                               event_is_left=False))
     return StageKernel(stage, ops)
 
 

@@ -20,18 +20,10 @@ from operator import attrgetter
 from typing import Any, Iterable, Sequence
 
 from repro.core.conditions import pearson_correlation
-from repro.core.events import Event
-from repro.core.joinkeys import KeyBuckets
+from repro.core.events import Event, check_order
 from repro.core.matches import PartialMatch
-from repro.core.nfa import (
-    ChainNFA,
-    Stage,
-    compile_pattern,
-    count_seq_candidates,
-    seq_candidates,
-)
+from repro.core.nfa import ChainNFA, Stage, compile_pattern, seq_candidates
 from repro.core.patterns import Pattern
-from repro.core.streams import substream_rates
 from repro.costmodel.model import WorkloadStatistics
 
 __all__ = ["StageObservation", "estimate_statistics", "statistics_from_sample"]
@@ -72,18 +64,13 @@ class _SamplingRun:
     """A sampling join that only counts, per stage.
 
     Each event of a stage's type is compared with every partial match in
-    the stage's pool that passes the window and SEQ-order checks; the
-    accepted ones extend into the next stage's pool.  There is no
-    negation handling and no Kleene subset explosion (Kleene stages are
+    the stage's pool that passes the window and SEQ-order checks, pair by
+    pair; the accepted ones extend into the next stage's pool.  There is
+    no negation handling and no Kleene subset explosion (Kleene stages are
     sampled as plain stages for selectivity purposes — the closure's
     blow-up is applied analytically by the cost model's Theorem 4, so
-    sampling it here would double-count).
-
-    The pool of a stage with a join key is bucketed by it, and an event
-    is compared only with its own key's bucket (:meth:`_scan_keyed`,
-    DESIGN §2p).  Every other stage uses the pair loop of
-    :meth:`_scan_pairs`, the reference that the keyed scan and
-    :func:`_sweep` reproduce count for count.
+    sampling it here would double-count).  This pair loop is the reference
+    that :func:`_sweep` reproduces count for count.
     """
 
     nfa: ChainNFA
@@ -93,22 +80,10 @@ class _SamplingRun:
         stages = self.nfa.stages
         self.observations = [StageObservation() for _ in stages]
         self._pools: list[list[PartialMatch]] = [[] for _ in stages]
-        self._keys = [
-            KeyBuckets.of_partials(stage.key)
-            if stage.index and stage.key is not None else None
-            for stage in stages
-        ]
-        # The pools are in ``latest`` order while the sample is in stream
-        # order, which the keyed scans' charge relies on.
-        self._in_order = True
-        self._last_timestamp = float("-inf")
 
     def feed(self, event: Event) -> None:
         nfa = self.nfa
         window = nfa.window
-        if event.timestamp < self._last_timestamp:
-            self._in_order = False
-        self._last_timestamp = max(self._last_timestamp, event.timestamp)
         now = event.timestamp
         additions: list[tuple[int, PartialMatch]] = []
         for stage in nfa.stages:
@@ -119,81 +94,29 @@ class _SamplingRun:
                 observation.comparisons += 1
                 if stage.accepts(PartialMatch.empty(), event):
                     observation.successes += 1
-                    seed = (
-                        PartialMatch(
-                            binding={stage.item.name: (event,)},
-                            earliest=event.timestamp,
-                            latest=event.timestamp,
-                        )
-                        if stage.is_kleene
-                        else PartialMatch.of(stage.item.name, event)
-                    )
-                    additions.append((1, seed))
+                    additions.append((1, stage.bind(PartialMatch.empty(),
+                                                    event)))
                 continue
             pool = self._pools[stage.index]
-            buckets = self._keys[stage.index]
             # Expire as the sequential engine does (DESIGN §2s).
             keep = [now - p.earliest <= window for p in pool]
             if not all(keep):
-                if buckets is not None:
-                    buckets.remove(p for p, kept in zip(pool, keep) if not kept)
                 pool[:] = compress(pool, keep)
             observation.scanned += len(pool)
             observation.scan_sq += len(pool) * len(pool)
-            if buckets is not None:
-                accepted = self._scan_keyed(stage, pool, buckets, event,
-                                            observation)
-            else:
-                accepted = self._scan_pairs(stage, pool, event, observation)
-            for partial in accepted:
-                if stage.is_kleene:
-                    base = dict(partial.binding)
-                    base[stage.item.name] = (event,)
-                    extended = PartialMatch(
-                        binding=base,
-                        earliest=min(partial.earliest, event.timestamp),
-                        latest=max(partial.latest, event.timestamp),
-                    )
-                else:
-                    extended = partial.extended(stage.item.name, event)
-                additions.append((stage.index + 1, extended))
+            candidates = seq_candidates(pool, nfa.stages, stage.index, event,
+                                        window)
+            observation.comparisons += len(candidates)
+            for partial in candidates:
+                if stage.accepts(partial, event):
+                    observation.successes += 1
+                    additions.append((stage.index + 1,
+                                      stage.bind(partial, event)))
         for level, partial in additions:
             if level < len(self._pools):
                 pool = self._pools[level]
                 if len(pool) < _POOL_CAP:
                     pool.append(partial)
-                    if self._keys[level] is not None:
-                        self._keys[level].add(partial)
-
-    def _scan_pairs(self, stage: Stage, pool: list[PartialMatch],
-                    event: Event, observation: StageObservation
-                    ) -> list[PartialMatch]:
-        """The partials of *pool* accepting *event*, pair by pair."""
-        candidates = seq_candidates(pool, self.nfa.stages, stage.index,
-                                    event, self.nfa.window)
-        observation.comparisons += len(candidates)
-        accepted = []
-        for partial in candidates:
-            if stage.accepts(partial, event):
-                observation.successes += 1
-                accepted.append(partial)
-        return accepted
-
-    def _scan_keyed(self, stage: Stage, pool: list[PartialMatch],
-                    buckets: KeyBuckets, event: Event,
-                    observation: StageObservation) -> list[PartialMatch]:
-        """:meth:`_scan_pairs` over the event's own key's bucket: only its
-        partials can pass the key conjunct.  ``comparisons`` still counts
-        every candidate of the pool, as the pair loop does."""
-        group = buckets.matching(event) if self._in_order else None
-        if group is None:
-            return self._scan_pairs(stage, pool, event, observation)
-        comparisons = observation.comparisons + count_seq_candidates(
-            pool, self.nfa.stages, stage.index, event, self.nfa.window
-        )
-        accepted = self._scan_pairs(stage, group, event, observation)
-        observation.comparisons = comparisons
-        return accepted
 
 
 #: Most cells (stage events by table entries) of one block of the sweep's
@@ -485,6 +408,26 @@ class _Sweep:
         return self._columns[key]
 
 
+def _census(sample: Sequence[Event]
+            ) -> tuple[dict[str, int], dict[str, float]]:
+    """One pass over *sample*: check its stream order
+    (:func:`~repro.core.events.check_order`), and count each type's
+    events and sum their payload sizes."""
+    counts: dict[str, int] = {}
+    payloads: dict[str, float] = {}
+    last = float("-inf")
+    for event in sample:
+        last = check_order(event, last)
+        name = event.type.name
+        if name in counts:
+            counts[name] += 1
+            payloads[name] += float(event.payload_size)
+        else:
+            counts[name] = 1
+            payloads[name] = float(event.payload_size)
+    return counts, payloads
+
+
 def estimate_statistics(
     pattern: Pattern,
     sample: Sequence[Event],
@@ -494,21 +437,24 @@ def estimate_statistics(
 
     The sample should be a prefix of the production stream; a few thousand
     events usually stabilise both statistics (mirroring [41], which the
-    paper cites for this step).
+    paper cites for this step).  A sample out of timestamp order raises
+    :class:`~repro.core.errors.StreamError`.
     """
     nfa = compile_pattern(pattern)
+    counts, payloads = _census(sample)
     observations = _sweep(nfa, sample)
     if observations is None:
         run = _SamplingRun(nfa)
         for event in sample:
             run.feed(event)
         observations = run.observations
-    rates = substream_rates(
-        sample, [stage.event_type_name for stage in nfa.stages]
-    )
-    stage_rates = tuple(
-        rates.get(stage.event_type_name, 0.0) for stage in nfa.stages
-    )
+    # The sample's span: rates over it as substream_rates measures them.
+    span = sample[-1].timestamp - sample[0].timestamp if sample else 0.0
+
+    def rate(name: str) -> float:
+        return 0.0 if span <= 0 else counts.get(name, 0) / span
+
+    stage_rates = tuple(rate(stage.event_type_name) for stage in nfa.stages)
     selectivities = tuple(
         observation.selectivity for observation in observations
     )
@@ -517,9 +463,6 @@ def estimate_statistics(
     # first agent's match stream); the last entry is the full-match output
     # rate.  These feed the load model directly instead of Theorem 2's
     # full-window extrapolation — see WorkloadStatistics.match_rates.
-    span = (
-        sample[-1].timestamp - sample[0].timestamp if len(sample) > 1 else 0.0
-    )
     if span > 0:
         match_rates = tuple(
             observation.successes / span for observation in observations
@@ -532,23 +475,12 @@ def estimate_statistics(
     else:
         match_rates = ()
         stage_work = ()
-    sizes: tuple[float, ...] = ()
     if event_sizes is not None:
         sizes = tuple(event_sizes)
     else:
-        totals: dict[str, list[float]] = {}
-        for event in sample:
-            totals.setdefault(event.type.name, []).append(
-                float(event.payload_size)
-            )
         sizes = tuple(
-            (
-                sum(totals[stage.event_type_name])
-                / len(totals[stage.event_type_name])
-                if stage.event_type_name in totals
-                else 64.0
-            )
-            for stage in nfa.stages
+            payloads[name] / counts[name] if name in counts else 64.0
+            for name in (stage.event_type_name for stage in nfa.stages)
         )
     # Negation pricing: the arrival rate of each stage's guard event types
     # (they scan the stage's match buffer without binding it).
@@ -558,16 +490,8 @@ def estimate_statistics(
     ]
     guard_rates: tuple[float, ...] = ()
     if any(guard_names_per_stage):
-        guard_rate_map = substream_rates(
-            sample,
-            sorted({
-                name
-                for names in guard_names_per_stage
-                for name in names
-            }),
-        )
         guard_rates = tuple(
-            sum(guard_rate_map.get(name, 0.0) for name in names)
+            sum(rate(name) for name in names)
             for names in guard_names_per_stage
         )
     return WorkloadStatistics(

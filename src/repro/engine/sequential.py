@@ -16,12 +16,14 @@ counters as its ground-truth computational load.
 
 A stage or negation guard with a join key (DESIGN §2p) has its pool or
 negated-event buffer bucketed by that key, and a scan visits only the
-new item's bucket while the events come in stream order; it still
-charges every pair the full scan would have compared.
+new item's bucket; it still charges every pair the full scan would have
+compared.  Both rely on stream order, which :meth:`SequentialEngine.process`
+checks for every event (:func:`~repro.core.events.check_order`).
 
-A scan takes its candidates from :func:`~repro.core.nfa.seq_candidates`,
-the window and SEQ-order test the agents and the planner's sampler share,
-and the purges expire by the difference that test computes (DESIGN §2s).
+A scan, a Kleene loop-back's included, takes its candidates from
+:func:`~repro.core.nfa.seq_candidates`, the window and SEQ-order test the
+agents and the planner's sampler share, and the purges expire by the
+difference that test computes (DESIGN §2s).
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from repro.core.errors import EngineError
-from repro.core.events import Event, validate_stream_order
+from repro.core.events import Event, check_order
 from repro.core.joinkeys import KeyBuckets, position_of
 from repro.core.matches import Match, PartialMatch
 from repro.core.nfa import (
@@ -134,10 +136,6 @@ class SequentialEngine:
                         self._guard_keys.setdefault(
                             guard.item.event_type.name, []
                         ).append((guard, KeyBuckets.of_events(guard.key)))
-            # The pools are in ``latest`` order and the negated-event
-            # buffers in timestamp order only while events come in stream
-            # order; the keyed scans rely on both.
-            self._in_order = True
         else:
             self._nfa = None
             self._and_pool: list[PartialMatch] = [PartialMatch.empty()]
@@ -148,17 +146,18 @@ class SequentialEngine:
 
     def run(self, events: Iterable[Event]) -> Iterator[Match]:
         """Process a whole in-order stream and yield matches as found."""
-        for event in validate_stream_order(events):
+        for event in events:
             yield from self.process(event)
         yield from self.close()
 
     def process(self, event: Event) -> list[Match]:
-        """Feed one event; return the full matches it completed."""
+        """Feed one event; return the full matches it completed.
+
+        Raises :class:`~repro.core.errors.StreamError` when *event* is
+        earlier than the event before it."""
         if self._closed:
             raise EngineError("process() called after close()")
-        if event.timestamp < self._last_timestamp:
-            self._in_order = False
-        self._last_timestamp = max(self._last_timestamp, event.timestamp)
+        self._last_timestamp = check_order(event, self._last_timestamp)
         self.stats.events_processed += 1
         if self._nfa is not None:
             return self._process_seq(event)
@@ -272,9 +271,11 @@ class SequentialEngine:
         for stage in self._stages_by_type.get(type_name, ()):
             index = stage.index
             if index == 0:
-                if self._try_stage_conditions(stage, PartialMatch.empty(), event):
-                    seed = self._bind(stage, PartialMatch.empty(), event)
-                    additions.append((1, seed))
+                self.stats.comparisons += 1
+                if stage.accepts(PartialMatch.empty(), event):
+                    self.stats.partial_matches_created += 1
+                    additions.append(
+                        (1, stage.bind(PartialMatch.empty(), event)))
             else:
                 pool = self._pools[index]
                 group = self._same_key(self._pool_keys[index], event)
@@ -292,7 +293,8 @@ class SequentialEngine:
                 for partial in candidates:
                     if not stage.accepts(partial, event):
                         continue
-                    extended = self._bind(stage, partial, event)
+                    self.stats.partial_matches_created += 1
+                    extended = stage.bind(partial, event)
                     if self._violates_internal_guard(
                         nfa.stages[index - 1], extended, window
                     ):
@@ -323,56 +325,29 @@ class SequentialEngine:
         Partials that completed the Kleene stage live in the next pool (or
         among completed matches pending emission — but those are final:
         skip-till-any-match keeps the shorter tuples as separate partials,
-        so growth always happens on pool entries).
+        so growth always happens on pool entries).  Every one of them binds
+        the stage, so :func:`~repro.core.nfa.seq_candidates` takes it as a
+        loop-back, ordered by its tuple's last event.
         """
-        nfa = self._nfa
-        assert nfa is not None
-        additions: list[tuple[int, PartialMatch]] = []
         target = stage.index + 1
-        if target > len(self._pools):
-            return additions
-        pool = self._pools[target] if target < len(self._pools) else []
-        for partial in pool:
-            bound = partial.binding.get(stage.item.name)
-            if not isinstance(bound, tuple):
-                continue
-            last = bound[-1]
-            if (last.timestamp, last.event_id) >= (event.timestamp, event.event_id):
-                continue
-            if not partial.fits_with(event, window):
-                continue
-            if not self._try_stage_conditions(stage, partial, event):
-                continue
-            grown = partial.extended_kleene(stage.item.name, event)
-            self.stats.partial_matches_created += 1
-            additions.append((target, grown))
+        if target >= len(self._pools):
+            return []
+        candidates = seq_candidates(self._pools[target], self._nfa.stages,
+                                    stage.index, event, window)
+        self.stats.comparisons += len(candidates)
+        additions: list[tuple[int, PartialMatch]] = []
+        for partial in candidates:
+            if stage.accepts(partial, event):
+                self.stats.partial_matches_created += 1
+                additions.append(
+                    (target, partial.extended_kleene(stage.item.name, event)))
         return additions
-
-    def _try_stage_conditions(self, stage, partial: PartialMatch,
-                              event: Event) -> bool:
-        self.stats.comparisons += 1
-        return stage.accepts(partial, event)
 
     def _same_key(self, buckets: KeyBuckets | None, item):
         """The entries of *buckets* with the key of *item*, a new event or
         partial match, or ``None`` when the scan must visit the whole
-        buffer: it has no buckets, the item or an entry has no key, or the
-        stream came out of order."""
-        if buckets is None or not self._in_order:
-            return None
-        return buckets.matching(item)
-
-    def _bind(self, stage, partial: PartialMatch, event: Event) -> PartialMatch:
-        self.stats.partial_matches_created += 1
-        if stage.is_kleene:
-            base = dict(partial.binding)
-            base[stage.item.name] = (event,)
-            return PartialMatch(
-                binding=base,
-                earliest=min(partial.earliest, event.timestamp),
-                latest=max(partial.latest, event.timestamp),
-            )
-        return partial.extended(stage.item.name, event)
+        buffer: it has no buckets, or the item or an entry has no key."""
+        return None if buckets is None else buckets.matching(item)
 
     def _violates_internal_guard(self, previous_stage, extended: PartialMatch,
                                  window: float) -> bool:

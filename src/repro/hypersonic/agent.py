@@ -223,15 +223,6 @@ class AgentCore:
     # Work intake                                                        #
     # ------------------------------------------------------------------ #
 
-    def has_event_work(self, now: float = float("inf")) -> bool:
-        return self.guard_q.has_ready(now) or self.es.has_ready(now)
-
-    def has_match_work(self, now: float = float("inf")) -> bool:
-        return self.ms.has_ready(now)
-
-    def has_any_work(self, now: float = float("inf")) -> bool:
-        return self.has_event_work(now) or self.has_match_work(now)
-
     def pop(self, role: str, now: float = float("inf")) -> WorkItem | None:
         """Dequeue per role: event workers drain the guard queue first so
         quarantine release points are reached promptly."""
@@ -373,7 +364,7 @@ class AgentCore:
                     grown = partial.extended_kleene(position, event)
                     self._accept(grown, receipt)
                     continue
-                extended = self._bind(partial, event)
+                extended = stage.bind(partial, event)
                 self._route_new_candidate(extended, event.timestamp, receipt)
         self._store_event(event, unit_id)
         return receipt
@@ -469,7 +460,7 @@ class AgentCore:
                     scalar=lambda i, e=event, r=resident: stage.accepts(r[i], e),
                 )
                 for index in accepted:
-                    extended = self._bind(resident[index], event)
+                    extended = stage.bind(resident[index], event)
                     self._route_new_candidate(
                         extended, event.timestamp, receipt
                     )
@@ -554,7 +545,7 @@ class AgentCore:
                     grown = partial.extended_kleene(position, event)
                     self._accept(grown, receipt)
                     continue
-                extended = self._bind(partial, event)
+                extended = stage.bind(partial, event)
                 self._route_new_candidate(extended, event.timestamp, receipt)
         # Purge the fragment we are about to store into using the tightest
         # safe bound on future event timestamps: the head of the unprocessed
@@ -636,7 +627,7 @@ class AgentCore:
         )
         for index in accepted:
             event = resident[index]
-            extended = self._bind(partial, event)
+            extended = stage.bind(partial, event)
             self._route_new_candidate(extended, event.timestamp, receipt)
 
     # -- guard path ------------------------------------------------------ #
@@ -680,18 +671,6 @@ class AgentCore:
     # ------------------------------------------------------------------ #
     # Internals                                                          #
     # ------------------------------------------------------------------ #
-
-    def _bind(self, partial: PartialMatch, event: Event) -> PartialMatch:
-        stage = self.stage
-        if stage.is_kleene:
-            base = dict(partial.binding)
-            base[stage.item.name] = (event,)
-            return PartialMatch(
-                binding=base,
-                earliest=min(partial.earliest, event.timestamp),
-                latest=max(partial.latest, event.timestamp),
-            )
-        return partial.extended(stage.item.name, event)
 
     def _route_new_candidate(
         self, extended: PartialMatch, bind_ts: float, receipt: Receipt

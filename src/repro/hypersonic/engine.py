@@ -9,9 +9,10 @@ baseline.  Performance evaluation runs the very same components under the
 discrete-event simulator (:mod:`repro.simulator`), which replaces this
 module's zero-cost scheduler with a virtual clock.
 
-Restrictions (matching the paper's system): SEQ patterns only, at least
-two event types, no Kleene closure on the first type (the first agent
-represents the first two NFA states and cannot host a self-loop).
+Restrictions (matching the paper's system, checked by
+:func:`~repro.hypersonic.splitter.compile_chain`): SEQ patterns only, at
+least two event types, no Kleene closure on the first type (the first
+agent represents the first two NFA states and cannot host a self-loop).
 """
 
 from __future__ import annotations
@@ -20,26 +21,34 @@ import random
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from repro.core.errors import AllocationError, PatternError
+from repro.core.errors import AllocationError
 from repro.core.events import Event, validate_stream_order
 from repro.core.streams import as_source
 from repro.core.matches import Match
-from repro.core.nfa import ChainNFA, compile_pattern
-from repro.core.patterns import Operator, Pattern
+from repro.core.nfa import ChainNFA
+from repro.core.patterns import Pattern
 from repro.core.policies import resolve_matches
 from repro.control.planning import plan_build
 from repro.costmodel.model import CostParameters, WorkloadStatistics
 from repro.costmodel.statistics import estimate_statistics
-from repro.hypersonic.agent import AgentCore
 from repro.hypersonic.allocation import AllocationPlan
 from repro.hypersonic.buffers import BufferSnapshot
 from repro.hypersonic.fusion import FusionPlan, build_agent
 from repro.hypersonic.items import ItemKind, Receipt, WorkItem
-from repro.hypersonic.splitter import RouteTarget, Splitter
+from repro.hypersonic.splitter import (
+    RouteTarget,
+    Splitter,
+    compile_chain,
+    consumers,
+)
 from repro.hypersonic.workers import ExecutionUnit, WorkerPolicy, assign_roles
 from repro.obs.tracer import NULL_TRACER, Tracer
 
 __all__ = ["HypersonicConfig", "FunctionalMetrics", "HypersonicEngine"]
+
+#: The agent attribute holding the input queue of each item kind.
+_INPUT_QUEUES = {ItemKind.MATCH: "ms", ItemKind.EVENT: "es",
+                 ItemKind.EVENT2: "es2", ItemKind.GUARD: "guard_q"}
 
 
 @dataclass(frozen=True)
@@ -92,19 +101,8 @@ class HypersonicEngine:
         costs: CostParameters | None = None,
         tracer: Tracer | None = None,
     ) -> None:
-        if pattern.operator is not Operator.SEQ:
-            raise PatternError("HYPERSONIC evaluates SEQ patterns")
         self.pattern = pattern
-        self.nfa: ChainNFA = compile_pattern(pattern)
-        if self.nfa.num_stages < 2:
-            raise PatternError(
-                "HYPERSONIC needs at least two positive event types"
-            )
-        if self.nfa.stages[0].is_kleene:
-            raise PatternError(
-                "Kleene closure on the first event type is not supported by "
-                "the agent chain (the first agent covers the first two states)"
-            )
+        self.nfa: ChainNFA = compile_chain(pattern)
         if num_units < 1:
             raise AllocationError("need at least one execution unit")
         self.num_units = num_units
@@ -178,7 +176,7 @@ class HypersonicEngine:
             if hasattr(agent, "global_floor"):
                 agent.global_floor = global_floor
 
-        self._wire_routes()
+        self._wire_routes(groups)
 
         if not config.role_dynamic:
             per_agent = _enforce_two_per_agent(per_agent, self.num_units)
@@ -195,40 +193,20 @@ class HypersonicEngine:
         self.policy.watermark = watermark
         self._built = True
 
-    def _wire_routes(self) -> None:
-        nfa = self.nfa
+    def _wire_routes(self, groups: Sequence[Sequence[int]]) -> None:
+        """Route each event type to its consumers' input queues
+        (:func:`~repro.hypersonic.splitter.consumers`)."""
         splitter = self.splitter
         assert splitter is not None
-        first_agent = self.agents[0]
-        stage0 = nfa.stages[0]
-        splitter.add_route(
-            stage0.event_type_name,
-            RouteTarget(
-                queue=first_agent.ms,
-                kind=ItemKind.MATCH,
-                seed_position=stage0.item.name,
-            ),
-        )
-        for position, agent in enumerate(self.agents):
-            if isinstance(agent, AgentCore):
-                splitter.add_route(
-                    agent.stage.event_type_name,
-                    RouteTarget(queue=agent.es, kind=ItemKind.EVENT),
-                )
-                for type_name in agent.guard_type_names:
-                    splitter.add_route(
-                        type_name,
-                        RouteTarget(queue=agent.guard_q, kind=ItemKind.GUARD),
-                    )
-            else:  # fused agent: one event input per part
-                splitter.add_route(
-                    agent.first.stage.event_type_name,
-                    RouteTarget(queue=agent.es, kind=ItemKind.EVENT),
-                )
-                splitter.add_route(
-                    agent.second.stage.event_type_name,
-                    RouteTarget(queue=agent.es2, kind=ItemKind.EVENT2),
-                )
+        seed_position = self.nfa.stages[0].item.name
+        for type_name, targets in consumers(self.nfa, groups).items():
+            for index, kind in targets:
+                agent = self.agents[index]
+                splitter.add_route(type_name, RouteTarget(
+                    queue=getattr(agent, _INPUT_QUEUES[kind]), kind=kind,
+                    seed_position=(seed_position if kind is ItemKind.MATCH
+                                   else None),
+                ))
 
     # ------------------------------------------------------------------ #
     # Deterministic functional driver                                     #
@@ -317,8 +295,9 @@ class HypersonicEngine:
 
         A unit that cannot take work elsewhere (agent dynamics off and no
         soft-fusion links) is polled only while its agent has queued work.
-        Otherwise ``select`` would find nothing and only count an idle
-        poll, so the unit gets that bookkeeping directly (DESIGN §2q).
+        Otherwise ``select`` would find nothing and only extend the unit's
+        idle streak, so the unit gets that bookkeeping directly
+        (DESIGN §2q).
         """
         policy = self.policy
         assert policy is not None
@@ -330,7 +309,6 @@ class HypersonicEngine:
                 not self._in_flight
                 or not agents[unit.current_agent].queue_depth()
             ):
-                unit.idle_polls += 1
                 unit.idle_streak += 1
                 continue
             selection = policy.select(unit)

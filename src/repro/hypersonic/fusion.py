@@ -50,7 +50,7 @@ class FusedAgentCore:
     because both stages may consume the same event type.
 
     Exposes the driving surface of :class:`AgentCore` (``pop`` /
-    ``process`` / ``has_*_work`` / ``snapshot``), so drivers and policies
+    ``process`` / ``queue_depth`` / ``snapshot``), so drivers and policies
     treat fused and plain agents alike.
     """
 
@@ -87,15 +87,6 @@ class FusedAgentCore:
         self.items_processed = 0
 
     # -- work intake ----------------------------------------------------- #
-
-    def has_event_work(self, now: float = float("inf")) -> bool:
-        return self.es.has_ready(now) or self.es2.has_ready(now)
-
-    def has_match_work(self, now: float = float("inf")) -> bool:
-        return self.ms.has_ready(now)
-
-    def has_any_work(self, now: float = float("inf")) -> bool:
-        return self.has_event_work(now) or self.has_match_work(now)
 
     def pop(self, role: str, now: float = float("inf")) -> WorkItem | None:
         if role == "event":

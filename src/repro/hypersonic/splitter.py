@@ -19,14 +19,63 @@ applied here, at seed creation, mirroring the sequential engine.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
+from repro.core.errors import PatternError
 from repro.core.events import Event
 from repro.core.matches import PartialMatch
-from repro.core.nfa import ChainNFA
+from repro.core.nfa import ChainNFA, compile_pattern
+from repro.core.patterns import Pattern
+from repro.hypersonic.agent import guard_type_names
 from repro.hypersonic.items import ItemKind, WorkItem, WorkQueue
 from repro.obs.tracer import NULL_TRACER, Tracer
 
-__all__ = ["RouteTarget", "Splitter", "SplitterReceipt"]
+__all__ = ["RouteTarget", "Splitter", "SplitterReceipt", "compile_chain",
+           "consumers"]
+
+
+def compile_chain(pattern: Pattern) -> ChainNFA:
+    """Compile *pattern* for the agent chain, which, like the paper's
+    system, evaluates SEQ patterns of at least two positive event types
+    with no Kleene closure on the first: the first agent covers the
+    first two states, and the splitter seeds it with single events."""
+    nfa = compile_pattern(pattern)  # raises PatternError unless SEQ
+    if nfa.num_stages < 2:
+        raise PatternError(
+            "the agent chain needs at least two positive event types"
+        )
+    if nfa.stages[0].is_kleene:
+        raise PatternError(
+            "Kleene closure on the first event type is not supported by "
+            "the agent chain (the first agent covers the first two states)"
+        )
+    return nfa
+
+
+def consumers(nfa: ChainNFA, groups: Sequence[Sequence[int]]
+              ) -> dict[str, list[tuple[int, ItemKind]]]:
+    """Event type name -> ``(agent, kind)`` of each agent that consumes
+    it, in routing order.  ``groups[agent]`` lists the stages the agent
+    binds (:attr:`~repro.hypersonic.fusion.FusionPlan.groups`).
+
+    Agent 0 takes stage 0's events as seed matches (``MATCH``); each
+    agent takes its stage's events (``EVENT``; a fused agent its second
+    stage's as ``EVENT2``) and, when not fused, the negated events of the
+    guards it enforces (``GUARD``).
+    """
+    stages = nfa.stages
+    table: dict[str, list[tuple[int, ItemKind]]] = {
+        stages[0].event_type_name: [(0, ItemKind.MATCH)],
+    }
+    for agent, group in enumerate(groups):
+        for kind, index in zip((ItemKind.EVENT, ItemKind.EVENT2), group):
+            table.setdefault(stages[index].event_type_name, []).append(
+                (agent, kind))
+        if len(group) == 1:
+            is_last = agent == len(groups) - 1
+            for name in sorted(guard_type_names(stages, group[0], is_last)):
+                table.setdefault(name, []).append((agent, ItemKind.GUARD))
+    return table
 
 
 @dataclass(frozen=True)

@@ -59,7 +59,6 @@ class ExecutionUnit:
     current_agent: int = -1
     last_hop_watermark: float = float("-inf")
     items_processed: int = 0
-    idle_polls: int = 0
     idle_streak: int = 0
     hops: int = 0
 
@@ -146,7 +145,6 @@ class WorkerPolicy:
             if hop_choice is not None:
                 unit.idle_streak = 0
                 return hop_choice
-        unit.idle_polls += 1
         unit.idle_streak += 1
         return None
 

@@ -81,15 +81,16 @@ import time
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
-from repro.core.errors import EngineError, PatternError
+from repro.core.errors import EngineError
 from repro.core.events import Event, validate_stream_order
 from repro.core.matches import Match, PartialMatch, match_key
 from repro.core.nfa import ChainNFA, compile_pattern
-from repro.core.patterns import Operator, Pattern
+from repro.core.patterns import Pattern
 from repro.core.policies import resolve_matches
 from repro.costmodel.model import CostParameters, LoadModel
-from repro.hypersonic.agent import AgentCore, guard_type_names
+from repro.hypersonic.agent import AgentCore
 from repro.hypersonic.items import ItemKind, WorkItem
+from repro.hypersonic.splitter import compile_chain, consumers
 from repro.obs.tracer import Tracer
 from repro.simulator.metrics import SimResult
 
@@ -152,31 +153,6 @@ def partial_size(partial: PartialMatch) -> int:
     return total
 
 
-def _routes(
-    nfa: ChainNFA, slices: Sequence[tuple[int, int]]
-) -> dict[str, list[tuple[int, int, ItemKind]]]:
-    """Event type name -> ``(proc, local agent, kind)`` of each consumer."""
-    stages = nfa.stages
-    num_agents = len(stages) - 1
-    routes: dict[str, list[tuple[int, int, ItemKind]]] = {
-        stages[0].event_type_name: [(0, 0, ItemKind.MATCH)],
-    }
-    for proc, (lo, hi) in enumerate(slices):
-        for global_index in range(lo, hi):
-            local = global_index - lo
-            routes.setdefault(
-                stages[global_index + 1].event_type_name, []
-            ).append((proc, local, ItemKind.EVENT))
-            guard_types = guard_type_names(
-                stages, global_index + 1, global_index == num_agents - 1
-            )
-            for type_name in guard_types:
-                routes.setdefault(type_name, []).append(
-                    (proc, local, ItemKind.GUARD)
-                )
-    return routes
-
-
 def route_batches(
     nfa: ChainNFA,
     slices: Sequence[tuple[int, int]],
@@ -199,7 +175,14 @@ def route_batches(
     stage0 = nfa.stages[0]
     seed_position = stage0.item.name
     empty = PartialMatch.empty()
-    routes = _routes(nfa, slices)
+    # Agent -> (proc, local); one agent per stage after the first.
+    hosts = [(proc, agent - lo) for proc, (lo, hi) in enumerate(slices)
+             for agent in range(lo, hi)]
+    groups = [(index,) for index in range(1, nfa.num_stages)]
+    routes = {
+        name: [(*hosts[agent], kind) for agent, kind in targets]
+        for name, targets in consumers(nfa, groups).items()
+    }
     pending: list[list] = [[] for _ in slices]
     watermark = float("-inf")
     routed = 0
@@ -590,16 +573,8 @@ class ProcsPipelineEngine:
         strategy_name: str = "procs",
         _crash_worker: tuple[int, int] | None = None,
     ) -> None:
-        if pattern.operator is not Operator.SEQ:
-            raise PatternError("the procs pipeline evaluates SEQ patterns")
         self.pattern = pattern
-        self.nfa = compile_pattern(pattern)
-        if self.nfa.num_stages < 2:
-            raise PatternError("need at least two positive event types")
-        if self.nfa.stages[0].is_kleene:
-            raise PatternError(
-                "Kleene closure on the first event type is not supported"
-            )
+        self.nfa = compile_chain(pattern)
         if queue_capacity < 1:
             raise EngineError(
                 f"queue_capacity must be >= 1, got {queue_capacity}"

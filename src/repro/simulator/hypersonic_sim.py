@@ -26,7 +26,9 @@ lives in the shared :class:`~repro.simulator.kernel.SimKernel`; this module
 keeps only the agent-chain semantics (splitter routing, unit wake/park,
 receipt routing, flush).  Input may be any iterable: a plain list, a
 generator, or a :class:`~repro.core.streams.WorkloadSource`; a
-non-list stream is consumed in a single pass and never materialized.
+non-list stream is consumed in a single pass and never materialized,
+and an event out of timestamp order raises
+:class:`~repro.core.errors.StreamError`.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from __future__ import annotations
 from typing import Iterable
 
 from repro.control import ControlPlane, LoadShedder, ReplanDecision
-from repro.core.events import Event
+from repro.core.events import Event, validate_stream_order
 from repro.core.matches import Match
 from repro.core.patterns import Pattern
 from repro.core.policies import resolve_matches
@@ -187,7 +189,7 @@ class HypersonicSimulation:
                 self._control.note_plan(plan["per_agent"], [])
             kernel.epoch_hook = self._control_epoch
         kernel.init_units(len(engine.units))
-        self._stream = iter(source)
+        self._stream = validate_stream_order(source)
 
         kernel.schedule(0.0, _INJECT, 0)
         while True:
@@ -424,7 +426,7 @@ class HypersonicSimulation:
                 to_wake.append(unit_id)
                 continue
             unit = engine.units[unit_id]
-            if engine.agents[unit.current_agent].has_any_work(float("inf")):
+            if engine.agents[unit.current_agent].queue_depth():
                 to_wake.append(unit_id)
         for unit_id in to_wake:
             parked.discard(unit_id)

@@ -36,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from repro.core.events import Event
+from repro.core.events import Event, validate_stream_order
 from repro.core.matches import Match
 from repro.core.patterns import Pattern
 from repro.core.policies import resolve_matches
@@ -131,7 +131,9 @@ class PartitionSimulation:
         return self._matches
 
     def run(self, events: Iterable[Event]) -> SimResult:
-        """Simulate the strategy over *events*, consumed in one pass."""
+        """Simulate the strategy over *events*, consumed in one pass; an
+        event out of timestamp order raises
+        :class:`~repro.core.errors.StreamError`."""
         engine = self.engine
         kernel = self.kernel
         tracer = self.tracer
@@ -141,7 +143,7 @@ class PartitionSimulation:
         num_units = engine.num_units
         unit_loads = [0.0] * num_units
 
-        stream = Lookahead(as_source(events))
+        stream = Lookahead(validate_stream_order(as_source(events)))
         span_iter = engine.spans(stream)
         pending_span = next(span_iter, None)
 

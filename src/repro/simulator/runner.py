@@ -176,7 +176,8 @@ def simulate(
 
     *events* may be a list, a generator or any
     :class:`~repro.core.streams.WorkloadSource`; it is consumed in one
-    pass.
+    pass, and an event earlier than the one before it raises
+    :class:`~repro.core.errors.StreamError`.
     """
     config = RunConfig(strategy, num_cores, **options)
     if strategy in _AGENT_CHAIN:

@@ -240,14 +240,16 @@ class TestWorkIntake:
         assert agent.pop("event").kind is ItemKind.GUARD
         assert agent.pop("event").kind is ItemKind.EVENT
 
-    def test_has_work_flags(self):
-        agent = make_agent(Pattern.sequence(["A", "B"], window=5.0))
-        assert not agent.has_any_work()
-        agent.es.push(WorkItem.event(ev(B, 1)))
-        assert agent.has_event_work()
-        assert not agent.has_match_work()
+    def test_queue_depth_counts_every_input(self):
+        """The simulator wakes a parked unit when its agent's
+        ``queue_depth`` is non-zero: it counts all three input queues."""
+        pattern = Pattern.sequence(["A", "X", "B"], window=5.0, negated=[1])
+        agent = make_agent(pattern)
+        assert agent.queue_depth() == 0
+        agent.es.push(WorkItem.event(ev(B, 2)))
+        agent.guard_q.push(WorkItem.guard(ev(X, 1)))
         agent.ms.push(seed(ev(A, 0.5)))
-        assert agent.has_match_work()
+        assert agent.queue_depth() == 3
 
     def test_invalid_stage_index(self):
         nfa = compile_pattern(Pattern.sequence(["A", "B"], window=5.0))

@@ -11,8 +11,8 @@ simulator on streams full of tied timestamps.
 
 The join-key buckets (DESIGN §2p) are checked the same way, against an
 agent compiled with keys forced off, whose scans visit every entry of
-the time band; the sequential engine and the planner's sampler likewise
-against themselves without keys.
+the time band; the sequential engine likewise against itself without
+keys.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from repro.core.conditions import (
 )
 from repro.core.matches import PartialMatch, match_key
 from repro.core.nfa import NegationGuard, compile_pattern, seq_order_allows
-from repro.costmodel import statistics
 from repro.datasets.stocks import StockConfig, generate_stock_stream
 from repro.datasets.trips import TripConfig, generate_trip_stream
 from repro.engine import SequentialEngine
@@ -94,7 +93,7 @@ class FullScanAgentCore(AgentCore):
                 receipt.comparisons += 1
                 if stage.accepts(partial, event):
                     self._route_new_candidate(
-                        self._bind(partial, event), event.timestamp, receipt
+                        stage.bind(partial, event), event.timestamp, receipt
                     )
         self._store_event(event, unit_id)
         return receipt
@@ -142,7 +141,7 @@ class FullScanAgentCore(AgentCore):
                 receipt.comparisons += 1
                 if stage.accepts(partial, event):
                     self._route_new_candidate(
-                        self._bind(partial, event), event.timestamp, receipt
+                        stage.bind(partial, event), event.timestamp, receipt
                     )
         es_head = self.es.head_event_time()
         effective_event_ts = max(
@@ -993,10 +992,9 @@ def bounded(buckets, buffer) -> None:
 
 def test_buckets_stay_within_their_buffers(monkeypatch):
     """20,000 events whose key changes every four: after every ``process``
-    call of the sequential engine and of every agent core, and after every
-    event the sampler takes, each bucket map holds no empty bucket and no
-    more entries than the buffer it indexes (a bucket per key ever seen
-    would hold 5,000)."""
+    call of the sequential engine and of every agent core, each bucket map
+    holds no empty bucket and no more entries than the buffer it indexes
+    (a bucket per key ever seen would hold 5,000)."""
     types = {name: EventType(name) for name in ("start", "end")}
     events = [
         Event(types["end" if index % 3 == 2 else "start"], index * 0.05,
@@ -1037,10 +1035,3 @@ def test_buckets_stay_within_their_buffers(monkeypatch):
         patch.setattr(AgentCore, "process", checked_process)
         HypersonicEngine(pattern, 4).run(events)
     assert len(checked) > len(events)
-
-    run = statistics._SamplingRun(compile_pattern(pattern))
-    for event in events:
-        run.feed(event)
-        for pool, buckets in zip(run._pools, run._keys):
-            if buckets is not None:
-                bounded(buckets, pool)

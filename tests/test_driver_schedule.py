@@ -69,8 +69,8 @@ def observe(engine: HypersonicEngine, events) -> tuple:
         [(match.key, match.detected_at) for match in matches],
         dataclasses.asdict(engine.metrics),
         [
-            (unit.unit_id, unit.items_processed, unit.idle_polls,
-             unit.idle_streak, unit.hops, unit.current_agent)
+            (unit.unit_id, unit.items_processed, unit.idle_streak,
+             unit.hops, unit.current_agent)
             for unit in engine.units
         ],
     )

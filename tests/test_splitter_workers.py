@@ -105,12 +105,6 @@ class _StubAgent:
         self.es = WorkQueue("es")
         self.ms = WorkQueue("ms")
 
-    def has_event_work(self, now=float("inf")):
-        return self.es.has_ready(now)
-
-    def has_match_work(self, now=float("inf")):
-        return self.ms.has_ready(now)
-
     def pop(self, role, now=float("inf")):
         queue = self.es if role == Roles.EVENT else self.ms
         return queue.pop(now)
@@ -155,7 +149,7 @@ class TestWorkerPolicy:
         policy, agents, units = self.make_policy(role_dynamic=False)
         agents[0].ms.push(_match_item())
         assert policy.select(units[0]) is None
-        assert units[0].idle_polls == 1
+        assert units[0].idle_streak == 1
 
     def test_agent_dynamic_hops_to_loaded_agent(self):
         policy, agents, units = self.make_policy(agent_dynamic=True)

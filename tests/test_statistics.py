@@ -23,7 +23,7 @@ from repro.core import (
     Pattern,
     UnaryCondition,
 )
-from repro.core.errors import ConditionError
+from repro.core.errors import ConditionError, StreamError
 from repro.core.nfa import compile_pattern
 from repro.costmodel import estimate_statistics, statistics, statistics_from_sample
 from repro.datasets.sensors import SensorConfig, generate_sensor_stream
@@ -201,9 +201,8 @@ SWEPT_CASES = {"stocks_corr", "stocks_negation", "trips_negation",
 
 
 def pair_loop_statistics(pattern, sample):
-    """The reference: every stage on the pair loop, no keys, no sweep."""
-    with mock.patch.object(nfa, "join_key", lambda conditions, position: None), \
-            mock.patch.object(statistics, "_sweep", lambda nfa_, events: None):
+    """The reference: every stage on the pair loop, no sweep."""
+    with mock.patch.object(statistics, "_sweep", lambda nfa_, events: None):
         return estimate_statistics(pattern, list(sample))
 
 
@@ -287,40 +286,33 @@ class TestKernelSampler:
 
     @pytest.mark.parametrize("name", SAMPLER_CASES)
     def test_keyed_sampler_equals_pair_loop(self, backend, name):
-        """The event loop, keyed scans on, against the pair loop: the trip
-        queries' stages join on ``bike``, and their pools are scanned by
-        key."""
+        """The event loop on stages compiled with their join keys, against
+        the pair loop with ``join_key`` forced off: the trip queries'
+        stages join on ``bike``, and the sampler must count them as if
+        they had no key."""
         pattern, sample = sampler_case(name)
-        keyed_scans = []
-        original = statistics._SamplingRun._scan_keyed
-
-        def counted(self, stage, *args):
-            keyed_scans.append(stage.index)
-            return original(self, stage, *args)
-
-        with mock.patch.object(statistics._SamplingRun, "_scan_keyed",
-                               counted), \
-                mock.patch.object(statistics, "_sweep",
-                                  lambda nfa_, events: None):
-            keyed = estimate_statistics(pattern, list(sample))
-        loop = pair_loop_statistics(pattern, sample)
+        keyed_stages = [stage.index
+                        for stage in compile_pattern(pattern).stages[1:]
+                        if stage.key is not None]
+        keyed = pair_loop_statistics(pattern, sample)
+        with mock.patch.object(nfa, "join_key",
+                               lambda conditions, position: None):
+            assert all(stage.key is None
+                       for stage in compile_pattern(pattern).stages)
+            loop = pair_loop_statistics(pattern, sample)
         assert keyed == loop
         assert repr(keyed) == repr(loop)
-        assert bool(keyed_scans) == name.startswith("trips")
+        assert bool(keyed_stages) == name.startswith("trips")
 
     def test_keyed_sampler_on_a_sample_out_of_order(self):
-        """A sample that steps back in time leaves a pool out of
-        ``latest`` order, which the keyed scans' count relies on; from
-        then on the sampler scans whole pools.  Here the rentals at 0, 2,
-        1 and 3 are in the pool when the one at 1.5 comes, and two of
-        them precede it.  The sweep needs stream order, so it declines."""
+        """A sample that steps back in time is refused at entry, before
+        any pool is filled: the rental at 1.0 follows the one at 2.0."""
         pattern = trip_negation_query(12.0).pattern
         start = EventType("start")
         sample = [Event(start, timestamp, {"bike": 1})
                   for timestamp in (0.0, 2.0, 1.0, 3.0, 1.5)]
-        keyed, ran = swept_statistics(pattern, sample)
-        assert not ran
-        assert keyed == pair_loop_statistics(pattern, sample)
+        with pytest.raises(StreamError, match="timestamp 1.0 < previous 2.0"):
+            estimate_statistics(pattern, sample)
 
     def test_ragged_history_raises_on_both_paths(self, backend):
         pattern, sample = sampler_case("stocks_corr")
