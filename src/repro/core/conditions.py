@@ -27,6 +27,7 @@ binding to evaluate a candidate.
 from __future__ import annotations
 
 import abc
+import functools
 import math
 import operator
 from dataclasses import dataclass, field
@@ -51,6 +52,7 @@ __all__ = [
     "kleene_representative",
     "center_history",
     "centered_pearson",
+    "history_sketch",
     "is_plain",
     "pearson_correlation",
 ]
@@ -518,6 +520,69 @@ def centered_pearson(left: tuple[list[float], float],
     return max(-1.0, min(1.0, value))
 
 
+#: The allowance under the leftover's square root (δ) and the margin
+#: between a bound and the threshold.  Each is more than 30 times the
+#: rounding error it covers at 4,096 elements (DESIGN §2t).
+_LEFTOVER_ALLOWANCE = 1e-10
+_MARGIN = 1e-10
+#: The sketch of a history that has none: it decides no pair.
+_UNBOUNDED = (0.0, 0.0, math.inf)
+
+
+@functools.lru_cache(maxsize=64)
+def _cosine_pair(n: int) -> tuple[tuple[float, ...], ...]:
+    """The orthonormal DCT-II cosines k = 1 and 2 of length *n*."""
+    scale = math.sqrt(2.0 / n)
+    return tuple(tuple(scale * math.cos(math.pi * k * (2 * i + 1) / (2 * n))
+                       for i in range(n)) for k in (1, 2))
+
+
+def history_sketch(centered: tuple[list[float], float]
+                   ) -> tuple[float, float, float] | None:
+    """``(a1, a2, t)`` of a history as :func:`center_history` returned it:
+    the coefficients of its unit deviations on the first two orthonormal
+    DCT-II cosines, and an upper bound on the norm of the rest.
+
+    By Cauchy–Schwarz on the rest, the Pearson coefficient of two
+    sketched histories lies within ``a1*b1 + a2*b2 +/- t_a*t_b``, to
+    within rounding that :data:`_MARGIN` covers.  ``None`` (no sketch)
+    unless the deviations are floats, between 3 and 4,096 of them, with a
+    norm that keeps the sketch and :func:`centered_pearson` clear of
+    underflow and overflow, and the coefficients are finite.
+    """
+    deviations, norm = centered
+    n = len(deviations)
+    # What the rounding bound of DESIGN §2t covers.
+    if not (3 <= n <= 4096 and 1e-100 < norm < 1e100
+            and all(type(d) is float for d in deviations)):
+        return None
+    first, second = _cosine_pair(n)
+    a1 = sum(map(operator.mul, deviations, first)) / norm
+    a2 = sum(map(operator.mul, deviations, second)) / norm
+    if not (math.isfinite(a1) and math.isfinite(a2)):
+        return None
+    # The allowance goes under the root: near the cosines' plane the
+    # difference cancels to about 0 and rounding could leave it below the
+    # true leftover.
+    leftover = max(0.0, 1.0 - a1 * a1 - a2 * a2) + _LEFTOVER_ALLOWANCE
+    return a1, a2, math.sqrt(leftover)
+
+
+def _decision_bounds(threshold: Any) -> tuple[float, float]:
+    """``(below, above)``: a correlation whose upper bound is below
+    *below* fails ``> threshold``, and one whose lower bound is above
+    *above* passes.  Only a float or int threshold is bounded (a huge int
+    one as an infinite float); any other decides nothing, so its
+    comparisons happen where they always did."""
+    if type(threshold) not in (float, int):
+        return -math.inf, math.inf
+    try:
+        value = float(threshold)
+    except OverflowError:
+        value = math.inf if threshold > 0 else -math.inf
+    return value - _MARGIN, value + _MARGIN
+
+
 class CenteredHistories:
     """Centered histories of recently bound events, keyed by ``id(history)``.
 
@@ -530,7 +595,9 @@ class CenteredHistories:
 
     An entry holds the history itself, so its id stays unique while the
     entry lives, and a lookup also checks identity.  It also holds the
-    timestamp of the event that carried the history.  Entries live about
+    timestamp of the event that carried the history, and the history's
+    :func:`history_sketch` (:data:`_UNBOUNDED` when it has none, or when
+    the history is degenerate).  Entries live about
     one *window*: once the newest centered event is more than two windows
     past :attr:`floor`, the floor moves to one window behind it and older
     entries are dropped, and a history older than the floor is centered
@@ -542,26 +609,28 @@ class CenteredHistories:
 
     def __init__(self, window: float) -> None:
         self.window = window
-        #: id(history) -> (history, center_history(history), timestamp)
+        #: id(history) -> (history, center_history(history), timestamp,
+        #: a1, a2, t)
         self.entries: dict[int, tuple] = {}
         self.newest = -math.inf
         self.floor = -math.inf
 
-    def center(self, history: Sequence[float],
-               timestamp: float) -> tuple[list[float], float] | None:
-        """:func:`center_history` of *history*, carried by an event at
-        *timestamp*, centered at most once while its entry lives."""
+    def entry(self, history: Sequence[float], timestamp: float) -> tuple:
+        """The entry of *history*, carried by an event at *timestamp*:
+        centered and sketched at most once while it lives."""
         entry = self.entries.get(id(history))
         if entry is not None and entry[0] is history:
-            return entry[1]
+            return entry
         centered = center_history(history)
+        sketch = history_sketch(centered) if centered is not None else None
+        entry = (history, centered, timestamp, *(sketch or _UNBOUNDED))
         if timestamp > self.newest:
             self.newest = timestamp
             if timestamp - self.floor > 2 * self.window:
                 self._expire()
         if timestamp >= self.floor:
-            self.entries[id(history)] = (history, centered, timestamp)
-        return centered
+            self.entries[id(history)] = entry
+        return entry
 
     def _expire(self) -> None:
         self.floor = floor = self.newest - self.window
@@ -604,18 +673,22 @@ class CorrelationCondition(Condition):
 
     def compile_check(self, position: str,
                       histories: CenteredHistories) -> Check:
-        """The check centers each history once in *histories* and
-        correlates the pair with :func:`centered_pearson`, the arithmetic
-        of :func:`pearson_correlation`."""
+        """The check centers and sketches each history once in
+        *histories*.  When the two sketches bound the pair's coefficient
+        clear of the threshold, that decides; otherwise it correlates the
+        pair with :func:`centered_pearson`, the arithmetic of
+        :func:`pearson_correlation`.  Either way the verdict is
+        ``centered_pearson(...) > threshold`` (DESIGN §2t)."""
         other = _bound_side(self, CorrelationCondition, position)
         if other is None:
             return super().compile_check(position, histories)
         event_is_left = other == self.right
         attribute, threshold = self.attribute, self.threshold
+        below, above = _decision_bounds(threshold)
         reduce, missing = self.reduce, self._missing
         require_sequences = self._require_sequences
         # The hit path reads the table inline: it is most calls.
-        lookup, center = histories.entries.get, histories.center
+        lookup, add = histories.entries.get, histories.entry
 
         def check(binding: Binding, event: Event) -> bool:
             bound = binding[other]
@@ -639,17 +712,21 @@ class CorrelationCondition(Condition):
                 raise _length_mismatch(xs, ys)
             # Left before right, as pearson_correlation centers them.
             entry = lookup(id(xs))
-            if entry is not None and entry[0] is xs:
-                left = entry[1]
-            else:
-                left = center(xs, left_event.timestamp)
+            if entry is None or entry[0] is not xs:
+                entry = add(xs, left_event.timestamp)
+            _, left, _, a1, a2, left_rest = entry
             entry = lookup(id(ys))
-            if entry is not None and entry[0] is ys:
-                right = entry[1]
-            else:
-                right = center(ys, right_event.timestamp)
+            if entry is None or entry[0] is not ys:
+                entry = add(ys, right_event.timestamp)
+            _, right, _, b1, b2, right_rest = entry
             if left is None or right is None:
                 return 0.0 > threshold
+            near = a1 * b1 + a2 * b2
+            rest = left_rest * right_rest
+            if near + rest < below:
+                return False
+            if near - rest > above:
+                return True
             return centered_pearson(left, right) > threshold
 
         return check

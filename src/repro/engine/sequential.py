@@ -562,10 +562,15 @@ class SequentialEngine:
                 probe = dict(partial.binding)
                 probe[position] = event
                 bound_now = set(probe)
+                first = not partial.binding
                 ok = True
                 for conjunct in conjuncts:
                     deps = conjunct.depends_on()
-                    if position in deps and deps <= bound_now:
+                    # A conjunct that reads no position runs once per
+                    # partial, when it binds its first position, as
+                    # compile_pattern places it on stage 0.
+                    if (position in deps and deps <= bound_now
+                            or first and not deps):
                         self.stats.comparisons += 1
                         if not conjunct.evaluate(probe):
                             ok = False

@@ -9,6 +9,8 @@
   a condition subclass that overrides ``evaluate`` is judged by that
   ``evaluate``, whole, in every engine; one that overrides nothing is
   compiled, kernelized and keyed as its base class.
+* **A conjunct that reads no position** runs when a partial binds its
+  first position, in an AND pattern as on a chain's stage 0.
 
 The expected counts are written out here, and the property's brute force
 evaluates ``pattern.condition`` whole: ``tests/oracle.py`` places the
@@ -31,7 +33,7 @@ from repro.core import (
     TrueCondition,
 )
 from repro.core import vectorized
-from repro.core.errors import StreamError
+from repro.core.errors import PatternError, StreamError
 from repro.core.joinkeys import JoinKey
 from repro.core.matches import match_key
 from repro.core.nfa import compile_pattern
@@ -194,6 +196,35 @@ def test_procs_calls_the_subclass(name):
     expected = SUBCLASS_CASES[name][1]
     engine = ProcsPipelineEngine(subclass_pattern(name), start_method="fork")
     assert len(engine.run(subclass_events(), timeout=60.0)) == expected
+
+
+#: The strategies that run an AND pattern; the agent chain ("hypersonic")
+#: and the state-parallel pipeline ("state") refuse one.
+AND_STRATEGIES = ("sequential", "rip", "rr", "jsq", "llsf")
+
+
+def and_pattern(condition) -> Pattern:
+    return Pattern.conjunction(["A", "B"], 2.0, condition=condition)
+
+
+@pytest.mark.parametrize("condition,expected", [(Refusing(), 0), (None, 1)],
+                         ids=["refusing", "plain"])
+def test_an_and_pattern_runs_a_conjunct_that_reads_no_position(condition,
+                                                               expected):
+    """``Refusing`` reads no position, so it runs when a partial binds its
+    first position, where the chain NFA runs it on stage 0."""
+    pattern = and_pattern(condition)
+    assert len(detect(pattern, subclass_events())) == expected
+    for strategy in AND_STRATEGIES:
+        result = simulate(strategy, pattern, subclass_events(), 4)
+        assert result.matches == expected, strategy
+
+
+@pytest.mark.parametrize("strategy", sorted(set(STRATEGIES)
+                                            - set(AND_STRATEGIES)))
+def test_chain_strategies_refuse_an_and_pattern(strategy):
+    with pytest.raises(PatternError):
+        simulate(strategy, and_pattern(Refusing()), subclass_events(), 4)
 
 
 def test_a_plain_subclass_gets_a_join_key():

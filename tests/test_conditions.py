@@ -552,6 +552,7 @@ class TestCenteredHistories:
 
         centered = []
         center = conditions_module.center_history
+        sketch = conditions_module.history_sketch
 
         def counted(seq):
             centered.append(seq)
@@ -560,26 +561,27 @@ class TestCenteredHistories:
         monkeypatch.setattr(conditions_module, "center_history", counted)
         table = CenteredHistories(window=10.0)
         first, second = (1.0, 2.0, 4.0), (3.0, 1.0, 2.0)
-        assert table.center(first, 0.0) == center(first)
-        assert table.center(first, 0.0) == center(first)
-        assert table.center(second, 1.0) == center(second)
+        entry = table.entry(first, 0.0)
+        assert entry == (first, center(first), 0.0, *sketch(center(first)))
+        assert table.entry(first, 0.0) is entry
+        assert table.entry(second, 1.0)[1] == center(second)
         assert centered == [first, second]
         # An equal but distinct history is centered on its own.
-        table.center(list(first), 1.0)
+        table.entry(list(first), 1.0)
         assert len(centered) == 3
 
     def test_expires_a_window_behind_the_newest(self):
         table = CenteredHistories(window=10.0)
         old, kept, new = (1.0, 2.0), (2.0, 1.0), (5.0, 6.0)
-        table.center(old, 0.0)
+        table.entry(old, 0.0)
         assert table.floor == -10.0
-        table.center(kept, 9.0)
+        table.entry(kept, 9.0)
         assert len(table.entries) == 2  # within two windows of the floor
-        table.center(new, 10.5)  # more than two windows past it: expire
+        table.entry(new, 10.5)  # more than two windows past it: expire
         assert table.floor == 0.5
         assert [entry[0] for entry in table.entries.values()] == [kept, new]
         # Older than the floor: centered, but not kept.
-        assert table.center(old, 0.0) is not None
+        assert table.entry(old, 0.0)[1] is not None
         assert [entry[0] for entry in table.entries.values()] == [kept, new]
 
     def test_sequential_tables_stay_within_two_windows(self):

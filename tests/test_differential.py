@@ -324,18 +324,70 @@ def _oracle_cells():
                 4.0, selection=selection, consumption=consumption
             )
             cells.append((spec.pattern, "trips", 9))
-    return cells
+    return cells + _stock_cells()
 
 
-def _oracle_cell_id(cell):
-    pattern, dataset, _ = cell
-    shape = (
+#: The stock cells' stream: 160 events over six symbols, seed 3.
+STOCK_SYMBOLS = tuple(f"S{i}" for i in range(6))
+STOCK_SEED = 3
+
+
+def _stock_workload(seed: int):
+    from repro.datasets.stocks import StockConfig, generate_stock_stream
+
+    return generate_stock_stream(StockConfig(
+        num_events=160, symbols=STOCK_SYMBOLS, seed=seed,
+    ))
+
+
+def _stock_cells():
+    """Correlation conditions over three of the six symbols, each
+    calibrated to pass 30% of in-window pairs: Q_A1 (174 oracle matches
+    when written), Q_A3 with the middle position negated (24), Q_A1's
+    conditions over a Kleene middle (18; Q_A2 at window 10 has none),
+    and Q_A3 whose negated position a correlation condition reads (57),
+    so a guard's table and bound run too."""
+    from repro.core import AndCondition, CorrelationCondition
+    from repro.datasets.stocks import calibrate_correlation_threshold
+    from repro.workloads.queries import (
+        stock_negation_query,
+        stock_sequence_query,
+    )
+
+    events = _stock_workload(STOCK_SEED)
+    types = list(STOCK_SYMBOLS[:3])
+    q_a1 = stock_sequence_query(types, 20.0, events, selectivity=0.3)
+    q_a3 = stock_negation_query(types, 20.0, events, negated_position=1,
+                                selectivity=0.3)
+    kleene = Pattern.sequence(
+        types, window=6.0, kleene=[1],
+        condition=stock_sequence_query(
+            types, 6.0, events, selectivity=0.3).pattern.condition,
+    )
+    guarded = stock_negation_query(types, 10.0, events, negated_position=1,
+                                   selectivity=0.3).pattern
+    guard = CorrelationCondition("p1", "p2", calibrate_correlation_threshold(
+        events, (types[0], types[1]), 10.0, 0.3))
+    guarded = Pattern.sequence(
+        types, window=10.0, negated=[1],
+        condition=AndCondition((*guarded.conjuncts(), guard)),
+    )
+    return [(pattern, "stocks", STOCK_SEED)
+            for pattern in (q_a1.pattern, q_a3.pattern, kleene, guarded)]
+
+
+def _shape(pattern) -> str:
+    return (
         "kleene" if any(i.is_kleene for i in pattern.items)
         else "negation" if any(i.is_negated for i in pattern.items)
         else "seq"
     )
+
+
+def _oracle_cell_id(cell):
+    pattern, dataset, _ = cell
     return (
-        f"{dataset}-{shape}-w{pattern.window:g}-"
+        f"{dataset}-{_shape(pattern)}-w{pattern.window:g}-"
         f"{pattern.selection.value}-{pattern.consumption.value}"
     )
 
@@ -346,6 +398,8 @@ ORACLE_CELLS = _oracle_cells()
 def _oracle_events(dataset: str, seed: int):
     if dataset == "trips":
         return _trip_workload(seed)
+    if dataset == "stocks":
+        return _stock_workload(seed)
     return make_stream(num_events=120, seed=seed)
 
 
@@ -373,17 +427,14 @@ def test_every_engine_matches_the_oracle(pattern, dataset, seed):
 
 
 def test_oracle_grid_is_not_degenerate():
-    """At least one Kleene, one negation, and one trips cell of the grid
-    produce matches — otherwise the differential above proves nothing."""
+    """At least one Kleene, one negation, one trips and one stocks cell of
+    the grid produce matches — otherwise the differential above proves
+    nothing."""
     from tests.oracle import oracle_keys
 
     populated = set()
     for pattern, dataset, seed in ORACLE_CELLS:
         if oracle_keys(pattern, _oracle_events(dataset, seed)):
-            shape = (
-                "kleene" if any(i.is_kleene for i in pattern.items)
-                else "negation"
-            )
-            populated.add(shape)
+            populated.add(_shape(pattern))
             populated.add(dataset)
-    assert {"kleene", "negation", "synthetic", "trips"} <= populated
+    assert {"kleene", "negation", "synthetic", "trips", "stocks"} <= populated
